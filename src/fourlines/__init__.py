@@ -39,9 +39,6 @@ from .graph import (
     GraphError,
     Insertion,
     VisibleGraph,
-    canonical_form,
-    edge_chains,
-    insert,
     new_base,
     parse,
     serialize,
@@ -106,7 +103,6 @@ __all__ = [
     "VisibleGraph",
     "black_components",
     "canonical_class",
-    "canonical_form",
     "certify",
     "chain_determinant",
     "check_log_terminal",
@@ -117,12 +113,10 @@ __all__ = [
     "cy_edge_enumerate",
     "cy_step_up_search",
     "delta1",
-    "edge_chains",
     "effective_lower_bound_log10",
     "epsilon1",
     "find_ample_weights",
     "generic_search",
-    "insert",
     "kc_degree",
     "log_pullback",
     "new_base",

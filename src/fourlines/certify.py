@@ -183,7 +183,8 @@ def classify_near_cy(graph: "VisibleGraph") -> NearCY:
     n = graph.total_weight
     whites = graph.whites()
     at_n = [v for v in whites if graph.weight(v) == n]
-    stepped = [v for v in whites if graph.weight(v) == n + 1]
+    step = n + 1
+    stepped = [v for v in whites if graph.weight(v) == step]
     all_cy = len(at_n) == len(whites)
     one_step = len(stepped) == 1 and len(at_n) == len(whites) - 1
     if graph.boundary is None:
@@ -247,7 +248,7 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
             status=NOT_CERTIFIED, near_cy=near, reasons=[str(exc)],
         )
 
-    b = singularities.solve_discrepancies(graph)
+    b = singularities.solve_discrepancies(graph, chain_list)
     sing = [(chain, chain.determinant()) for chain in chain_list]
     rho = 1 + blowups - len(b)
 
@@ -340,7 +341,8 @@ def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fracti
     w0, w1, w2 = point
     w3 = 1 - w0 - w1 - w2
     weights = (w0, w1, w2, w3)
-    assert not check_weights(graph.reweighted(weights), strict=True)
+    if check_weights(graph.reweighted(weights), strict=True):
+        raise ArithmeticError(f"weights {weights} fail the strict re-check")
     return weights
 
 
@@ -380,7 +382,8 @@ def _feasible_point_3d(
         elif hi is None:
             val = lo + 1
         else:
-            assert lo < hi
+            if not lo < hi:
+                raise ArithmeticError(f"empty interval ({lo}, {hi}) after elimination")
             val = (lo + hi) / 2
         point.append(val)
     return (point[0], point[1], point[2])
@@ -411,7 +414,7 @@ def _eliminate_last(
             )
             const = rp[-1] / ap + rn[-1] / (-an)
             out.append(coeffs + (const,))
-    # rows now assert coeffs·x > const in dimension dim-1; detect trivial
+    # rows now state coeffs·x > const in dimension dim-1; detect trivial
     # contradictions early for speed
     cleaned = []
     for row in out:

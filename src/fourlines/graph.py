@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "GraphError",
@@ -35,11 +36,8 @@ __all__ = [
     "BOUNDARY",
     "UNDEFINED",
     "new_base",
-    "insert",
     "parse",
     "serialize",
-    "edge_chains",
-    "canonical_form",
 ]
 
 #: the six corner pairs, in the fixed order used everywhere
@@ -92,22 +90,54 @@ class VisibleGraph:
         self.corners = corners
         self.initial_weights = weights
         self.boundary = boundary
-        self.history: tuple[Insertion, ...] = ()
 
-        cindex = {c: i for i, c in enumerate(corners)}
+        self._cindex = {c: i for i, c in enumerate(corners)}
         self._mark = {c: -1 for c in corners}
+        self._total_weight = sum(weights, Fraction(0))
+        # corner weights; interior weights are filled in when first asked for
         self._weight = dict(zip(corners, weights))
-        self._adj = {c: set(corners) - {c} for c in corners}
+        self._adj = {c: frozenset(corners) - {c} for c in corners}
         # interior bookkeeping: edge (pair of corner indexes) and (m1, m2)
         self._edge = {}
         self._frac = {}
         self._parents = {}
-        self._children = {c: [] for c in corners}
-        self._cindex = cindex
-        self._canon = None
+        self._children = {c: () for c in corners}
+        self._history: list[Insertion] = []
+        self._vertices: list[str] = list(corners)
 
         for ins in history:
             self._apply(ins)
+        self._seal()
+
+    @classmethod
+    def from_edge_content(
+        cls,
+        corners: Sequence[str],
+        weights: Sequence[Rational],
+        boundary: Optional[str],
+        content: Mapping[tuple[int, int], Sequence[tuple[int, int]]],
+    ) -> "VisibleGraph":
+        """Graph carrying the given multiplicity pairs on each edge.
+
+        ``content`` maps corner-index pairs from EDGE_PAIRS to the
+        Stern-Brocot pairs of their interior vertices; a missing pair
+        means a bare edge.  Insertions run edge by edge in EDGE_PAIRS
+        order and, inside an edge, by (m1 + m2, m1), which puts creation
+        parents first; the vertex (m1, m2) on edge (i, j) gets the id
+        ``E{i}{j}_{m1}_{m2}``.
+        """
+        corners = tuple(corners)
+        history = []
+        for i, j in EDGE_PAIRS:
+            ids = {(1, 0): corners[i], (0, 1): corners[j]}
+            for m1, m2 in sorted(content.get((i, j), ()), key=_creation_order):
+                p1, p2 = _stern_brocot_parents(m1, m2)
+                if p1 not in ids or p2 not in ids:
+                    raise GraphError(f"pair {(m1, m2)} on edge {(i, j)} lacks a creation parent")
+                vid = f"E{i}{j}_{m1}_{m2}"
+                history.append(Insertion(vid, ids[p1], ids[p2]))
+                ids[(m1, m2)] = vid
+        return cls(corners, weights, boundary, history)
 
     # -- construction ----------------------------------------------------
 
@@ -117,7 +147,8 @@ class VisibleGraph:
             raise GraphError(f"duplicate vertex id {new!r}")
         if a not in self._mark or b not in self._mark:
             raise GraphError(f"unknown vertex in insertion {ins}")
-        if b not in self._adj[a]:
+        adj = self._adj
+        if b not in adj[a]:
             raise GraphError(f"{a!r} and {b!r} are not adjacent")
 
         ea = self._edge.get(a)
@@ -138,17 +169,23 @@ class VisibleGraph:
         self._mark[a] += 1
         self._mark[b] += 1
         self._mark[new] = 1
-        self._weight[new] = self._weight[a] + self._weight[b]
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
-        self._adj[a].add(new)
-        self._adj[b].add(new)
-        self._adj[new] = {a, b}
+        # replace the neighbour sets and child tuples of a and b rather
+        # than change them: insert() shares them with the parent graph
+        adj[a] = adj[a].difference((b,)).union((new,))
+        adj[b] = adj[b].difference((a,)).union((new,))
+        adj[new] = frozenset((a, b))
         self._parents[new] = (a, b)
-        self._children[a].append(new)
-        self._children[b].append(new)
-        self._children[new] = []
-        self.history = self.history + (ins,)
+        self._children[a] += (new,)
+        self._children[b] += (new,)
+        self._children[new] = ()
+        self._history.append(ins)
+        self._vertices.append(new)
+
+    def _seal(self) -> None:
+        """Publish the insertion order once the last insertion is applied."""
+        self.history: tuple[Insertion, ...] = tuple(self._history)
+        self.vertices: tuple[str, ...] = tuple(self._vertices)
+        self._key = None
         self._canon = None
 
     def _frac_on(self, v: str, edge: tuple[int, int]) -> tuple[int, int]:
@@ -162,9 +199,21 @@ class VisibleGraph:
         raise GraphError(f"corner {v!r} does not bound edge {edge}")
 
     def insert(self, a: str, b: str, new_id: str) -> "VisibleGraph":
-        """Blow up the intersection of the adjacent curves ``a`` and ``b``."""
-        g = VisibleGraph(self.corners, self.initial_weights, self.boundary, self.history)
+        """Blow up the intersection of the adjacent curves ``a`` and ``b``.
+
+        The new graph starts from a copy of this graph's state, so one
+        insertion costs time linear in the graph size.
+        """
+        g = object.__new__(type(self))
+        g.__dict__.update(self.__dict__)
+        # own copies of the per-vertex tables; _apply never changes the
+        # values they hold in place, so those stay shared
+        for name in ("_mark", "_weight", "_adj", "_edge", "_frac", "_parents", "_children"):
+            setattr(g, name, dict(getattr(self, name)))
+        g._history = list(self._history)
+        g._vertices = list(self._vertices)
         g._apply(Insertion(new_id, a, b))
+        g._seal()
         return g
 
     def reweighted(self, weights: Sequence[Rational]) -> "VisibleGraph":
@@ -177,10 +226,6 @@ class VisibleGraph:
     def blowups(self) -> int:
         return len(self.history)
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.corners + tuple(ins.new_id for ins in self.history)
-
     def is_corner(self, v: str) -> bool:
         return v in self._cindex
 
@@ -188,10 +233,20 @@ class VisibleGraph:
         return self._mark[v]
 
     def weight(self, v: str) -> Fraction:
-        return self._weight[v]
+        w = self._weight.get(v)
+        if w is None:
+            # m1 w(a) + m2 w(b) over the edge a-b, which is the sum of the
+            # weights of the two curves whose intersection made v
+            (i, j), (m1, m2) = self._edge[v], self._frac[v]
+            a, b = self.initial_weights[i], self.initial_weights[j]
+            w = self._weight[v] = Fraction(
+                m1 * a.numerator * b.denominator + m2 * b.numerator * a.denominator,
+                a.denominator * b.denominator,
+            )
+        return w
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(self._adj[v])
+        return self._adj[v]
 
     def adjacent(self, a: str, b: str) -> bool:
         return b in self._adj[a]
@@ -208,7 +263,7 @@ class VisibleGraph:
         return self._parents.get(v)
 
     def children(self, v: str) -> tuple[str, ...]:
-        return tuple(self._children[v])
+        return self._children[v]
 
     def color(self, v: str) -> str:
         if v == self.boundary:
@@ -220,15 +275,20 @@ class VisibleGraph:
             return BLACK
         return UNDEFINED
 
+    # whites() and blacks() apply the rule of color() to the marks directly;
+    # certification asks for them several times per graph
+
     def whites(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.color(v) == WHITE)
+        mark, bd = self._mark, self.boundary
+        return tuple(v for v in self.vertices if mark[v] == 1 and v != bd)
 
     def blacks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.color(v) == BLACK)
+        mark, bd = self._mark, self.boundary
+        return tuple(v for v in self.vertices if mark[v] >= 2 and v != bd)
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.initial_weights, Fraction(0))
+        return self._total_weight
 
     def edge_chains(self) -> dict[tuple[int, int], tuple[str, ...]]:
         """Interior vertices of each edge, ordered along the path.
@@ -279,8 +339,39 @@ class VisibleGraph:
         for v, edge in self._edge.items():
             content[edge].append(self._frac[v])
         for pair in content:
-            content[pair].sort(key=lambda f: (f[0] + f[1], f[0]))
+            content[pair].sort(key=_creation_order)
         return content
+
+    def _canonical_key(self) -> tuple[tuple, tuple]:
+        """Least (corner key, edge key) over the corner relabelings.
+
+        A relabeling lists the four (weight, boundary flag) corner keys
+        and, edge by edge, the sorted multiplicity pairs seen from its
+        first corner.  The corner key is compared first, so only the
+        relabelings that list the corner keys in sorted order can reach
+        the minimum; with four distinct corner keys that is one of the 24.
+        """
+        if self._key is None:
+            content = self._edge_content()
+            corner_key = tuple(
+                (w.numerator, w.denominator, self.boundary == c)
+                for c, w in zip(self.corners, self.initial_weights)
+            )
+            best = None
+            for perm in _sorting_relabelings(corner_key):
+                edges_key = []
+                for i, j in EDGE_PAIRS:
+                    a, b = perm[i], perm[j]
+                    if a < b:
+                        edges_key.append(tuple(content[(a, b)]))
+                    else:
+                        flipped = [(m2, m1) for m1, m2 in content[(b, a)]]
+                        edges_key.append(tuple(sorted(flipped, key=_creation_order)))
+                edges_key = tuple(edges_key)
+                if best is None or edges_key < best:
+                    best = edges_key
+            self._key = (tuple(sorted(corner_key)), best)
+        return self._key
 
     def canonical_form(self) -> str:
         """Label-independent encoding, minimized over corner relabelings.
@@ -290,27 +381,8 @@ class VisibleGraph:
         other; the interleaving of insertions across different edges is
         quotiented out as well.
         """
-        if self._canon is not None:
-            return self._canon
-        content = self._edge_content()
-        bflag = [self.boundary == c for c in self.corners]
-        w = self.initial_weights
-        best = None
-        for perm in permutations(range(4)):
-            corner_key = tuple(
-                (w[perm[i]].numerator, w[perm[i]].denominator, bflag[perm[i]])
-                for i in range(4)
-            )
-            edges_key = []
-            for i, j in EDGE_PAIRS:
-                a, b = perm[i], perm[j]
-                fr = content[(a, b)] if a < b else [(m2, m1) for (m1, m2) in content[(b, a)]]
-                fr = sorted(fr, key=lambda f: (f[0] + f[1], f[0]))
-                edges_key.append(tuple(fr))
-            key = (corner_key, tuple(edges_key))
-            if best is None or key < best[0]:
-                best = (key, perm)
-        self._canon = repr(best[0])
+        if self._canon is None:
+            self._canon = repr(self._canonical_key())
         return self._canon
 
     def normalized(self) -> "VisibleGraph":
@@ -319,40 +391,13 @@ class VisibleGraph:
         Graphs with equal canonical form normalize to identical objects,
         which keeps search output independent of discovery order.
         """
-        content = self._edge_content()
-        bflag = [self.boundary == c for c in self.corners]
-        w = self.initial_weights
-        best = None
-        for perm in permutations(range(4)):
-            corner_key = tuple(
-                (w[perm[i]].numerator, w[perm[i]].denominator, bflag[perm[i]])
-                for i in range(4)
-            )
-            edges_key = []
-            for i, j in EDGE_PAIRS:
-                a, b = perm[i], perm[j]
-                fr = content[(a, b)] if a < b else [(m2, m1) for (m1, m2) in content[(b, a)]]
-                fr = sorted(fr, key=lambda f: (f[0] + f[1], f[0]))
-                edges_key.append(tuple(fr))
-            key = (corner_key, tuple(edges_key))
-            if best is None or key < best[0]:
-                best = (key, perm)
-        (corner_key, edges_key), perm = best
-        corners = tuple(f"C{i}" for i in range(4))
-        weights = tuple(w[perm[i]] for i in range(4))
-        boundary = None
-        for i in range(4):
-            if bflag[perm[i]]:
-                boundary = corners[i]
-        g = VisibleGraph(corners, weights, boundary)
-        for (i, j), fracs in zip(EDGE_PAIRS, edges_key):
-            ids = {(1, 0): corners[i], (0, 1): corners[j]}
-            for m1, m2 in fracs:
-                p1, p2 = _stern_brocot_parents(m1, m2)
-                vid = f"E{i}{j}_{m1}_{m2}"
-                g = g.insert(ids[p1], ids[p2], vid)
-                ids[(m1, m2)] = vid
-        return g
+        corner_key, edges_key = self._canonical_key()
+        corners = ("C0", "C1", "C2", "C3")
+        weights = [Fraction(num, den) for num, den, _ in corner_key]
+        flagged = [c for c, (_, _, flag) in zip(corners, corner_key) if flag]
+        return VisibleGraph.from_edge_content(
+            corners, weights, flagged[0] if flagged else None, dict(zip(EDGE_PAIRS, edges_key))
+        )
 
     # -- equality (structural, id-sensitive) ------------------------------
 
@@ -376,6 +421,22 @@ class VisibleGraph:
         )
 
 
+def _creation_order(pair: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of multiplicity pairs on one edge; creation parents sort first."""
+    return (pair[0] + pair[1], pair[0])
+
+
+@lru_cache(maxsize=1024)
+def _sorting_relabelings(corner_key: tuple) -> tuple[tuple[int, ...], ...]:
+    """Corner permutations ``perm`` with corner_key[perm[i]] in sorted order."""
+    least = sorted(corner_key)
+    return tuple(
+        perm for perm in permutations(range(4))
+        if all(corner_key[perm[i]] == least[i] for i in range(4))
+    )
+
+
+@lru_cache(maxsize=4096)
 def _stern_brocot_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Creation parents of the coprime pair (m1, m2).
 
@@ -410,18 +471,6 @@ def new_base(
         raise GraphError("boundary index out of 0..3")
     bid = None if boundary is None else tuple(corners)[boundary]
     return VisibleGraph(corners, weights, bid)
-
-
-def insert(graph: VisibleGraph, a: str, b: str, new_id: str) -> VisibleGraph:
-    return graph.insert(a, b, new_id)
-
-
-def edge_chains(graph: VisibleGraph) -> dict[tuple[int, int], tuple[str, ...]]:
-    return graph.edge_chains()
-
-
-def canonical_form(graph: VisibleGraph) -> str:
-    return graph.canonical_form()
 
 
 # -- file format ------------------------------------------------------------

@@ -130,7 +130,8 @@ def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: i
         (coeffs[v] * lattice.class_of(graph, v) for v in graph.vertices),
         DivisorClass(graph),
     )
-    assert spanned == lattice.log_pullback(graph, b)
+    if spanned != lattice.log_pullback(graph, b):
+        raise ArithmeticError("pullback coefficients do not span the log pullback")
 
     order = [ins.new_id for ins in graph.history]
     position = {v: i for i, v in enumerate(order)}

@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 from .certify import SurfaceReport, certify
 from .graph import (
     EDGE_PAIRS,
-    Insertion,
     VisibleGraph,
     _stern_brocot_parents,
     new_base,
@@ -197,16 +196,8 @@ def _assemble(
     patterns: dict[Pair, Pattern],
 ) -> VisibleGraph:
     """Build the graph carrying the given pattern on every edge."""
-    history: list[Insertion] = []
-    for i, j in EDGE_PAIRS:
-        ids: dict[Pair, str] = {(1, 0): _CORNERS[i], (0, 1): _CORNERS[j]}
-        for m1, m2 in sorted(patterns.get((i, j), ()), key=lambda f: (f[0] + f[1], f[0])):
-            p1, p2 = _stern_brocot_parents(m1, m2)
-            vid = f"E{i}{j}_{m1}_{m2}"
-            history.append(Insertion(vid, ids[p1], ids[p2]))
-            ids[(m1, m2)] = vid
     bd = None if boundary_index is None else _CORNERS[boundary_index]
-    return VisibleGraph(_CORNERS, weights, bd, history)
+    return VisibleGraph.from_edge_content(_CORNERS, weights, bd, patterns)
 
 
 # -- shared bookkeeping --------------------------------------------------

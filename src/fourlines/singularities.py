@@ -8,15 +8,30 @@ every black vertex j with mark a_j,
     -a_j b_j + sum of b_i over black neighbours i of j
         = 2 - a_j - (number of boundary neighbours of j),
 
-which decomposes into one tridiagonal system per chain and is solved
-here in exact rational arithmetic.
+which decomposes into one tridiagonal system per chain.
+
+Each chain system is solved in closed form.  For marks a_1..a_k let
+d_i be the continuant of a_1..a_i and d'_i that of a_k..a_{k-i+1}
+(d_0 = d'_0 = 1), so that d_k is the chain determinant.  The matrix M
+with a_j on the diagonal and -1 beside it has the positive inverse
+M^-1[i][j] = d_{i-1} d'_{k-j} / d_k for i <= j.  The system reads
+M b = M 1 - u, where u_j = 2 - (black neighbours of j) - (boundary
+neighbours of j) is nonzero only at the two ends of the chain and at
+its boundary contacts, hence
+
+    b_j = 1 - sum over i of u_i d_{min(i,j)-1} d'_{k-max(i,j)} / d_k,
+
+an integer numerator over d_k; with no boundary contact this is
+b_j = 1 - (d_{j-1} + d'_{k-j}) / d_k.  The numerators are substituted
+back into the system multiplied by d_k, in integers, and any nonzero
+residual raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
     from .graph import VisibleGraph
@@ -64,8 +79,10 @@ def black_components(graph: "VisibleGraph") -> list[tuple[str, ...]]:
     component's vertices come out in traversal order from its lowest
     endpoint, so output is deterministic.
     """
-    blacks = [v for v in graph.vertices if graph.color(v) == "black"]
-    black_set = set(blacks)
+    blacks = graph.blacks()
+    # creation rank among the blacks, which doubles as the black set
+    rank = {v: i for i, v in enumerate(blacks)}
+    links = {v: [w for w in graph.neighbors(v) if w in rank] for v in blacks}
     seen: set[str] = set()
     components = []
     for v in blacks:
@@ -74,30 +91,32 @@ def black_components(graph: "VisibleGraph") -> list[tuple[str, ...]]:
         comp = {v}
         frontier = [v]
         while frontier:
-            u = frontier.pop()
-            for w in graph.neighbors(u):
-                if w in black_set and w not in comp:
+            for w in links[frontier.pop()]:
+                if w not in comp:
                     comp.add(w)
                     frontier.append(w)
         seen |= comp
-        components.append(_order_component(graph, comp))
+        components.append(_order_component(comp, links, rank))
     return components
 
 
-def _order_component(graph: "VisibleGraph", comp: set[str]) -> tuple[str, ...]:
-    """Path order when the component is a path, else creation order."""
-    order_index = {v: i for i, v in enumerate(graph.vertices)}
-    degree = {v: sum(1 for w in graph.neighbors(v) if w in comp) for v in comp}
-    if any(d > 2 for d in degree.values()):
-        return tuple(sorted(comp, key=order_index.__getitem__))
-    ends = sorted((v for v in comp if degree[v] <= 1), key=order_index.__getitem__)
+def _order_component(
+    comp: set[str], links: dict[str, list[str]], rank: dict[str, int]
+) -> tuple[str, ...]:
+    """Path order when the component is a path, else creation order.
+
+    ``links`` holds the black neighbours of every black vertex.
+    """
+    if any(len(links[v]) > 2 for v in comp):
+        return tuple(sorted(comp, key=rank.__getitem__))
+    ends = sorted((v for v in comp if len(links[v]) <= 1), key=rank.__getitem__)
     if not ends:
         # a cycle; impossible in a subdivided K4's interior but kept safe
-        return tuple(sorted(comp, key=order_index.__getitem__))
+        return tuple(sorted(comp, key=rank.__getitem__))
     path = [ends[0]]
     prev = None
     while True:
-        nxt = [w for w in graph.neighbors(path[-1]) if w in comp and w != prev]
+        nxt = [w for w in links[path[-1]] if w != prev]
         if not nxt:
             break
         prev = path[-1]
@@ -105,82 +124,100 @@ def _order_component(graph: "VisibleGraph", comp: set[str]) -> tuple[str, ...]:
     return tuple(path)
 
 
+def _chain_verdict(graph: "VisibleGraph", comp: tuple[str, ...]) -> str | None:
+    """None when the black component is a simple path, else a description."""
+    comp_set = set(comp)
+    degrees = [sum(1 for w in graph.neighbors(v) if w in comp_set) for v in comp]
+    if any(d > 2 for d in degrees):
+        return f"black component {comp} is not a chain (branch vertex present)"
+    if len(comp) > 1 and degrees.count(1) != 2:
+        return f"black component {comp} is not a simple path"
+    return None
+
+
 def check_log_terminal(graph: "VisibleGraph") -> str | None:
     """None when every black component is a chain, else a description."""
     for comp in black_components(graph):
-        comp_set = set(comp)
-        degrees = [sum(1 for w in graph.neighbors(v) if w in comp_set) for v in comp]
-        if any(d > 2 for d in degrees):
-            return f"black component {comp} is not a chain (branch vertex present)"
-        if len(comp) > 1 and degrees.count(1) != 2:
-            return f"black component {comp} is not a simple path"
+        verdict = _chain_verdict(graph, comp)
+        if verdict is not None:
+            return verdict
     return None
 
 
 def chains(graph: "VisibleGraph") -> list[Chain]:
     """Black components as Chain values; raises when one is not a path."""
-    verdict = check_log_terminal(graph)
-    if verdict is not None:
-        raise NotChainError(verdict)
-    return [
-        Chain(comp, tuple(graph.mark(v) for v in comp))
-        for comp in black_components(graph)
-    ]
+    components = black_components(graph)
+    for comp in components:
+        verdict = _chain_verdict(graph, comp)
+        if verdict is not None:
+            raise NotChainError(verdict)
+    return [Chain(comp, tuple(graph.mark(v) for v in comp)) for comp in components]
 
 
-def solve_discrepancies(graph: "VisibleGraph") -> dict[str, Fraction]:
+def solve_discrepancies(
+    graph: "VisibleGraph", chain_list: Optional[Sequence[Chain]] = None
+) -> dict[str, Fraction]:
     """Exact solution of the discrepancy system, one entry per black vertex.
 
-    Raises NotChainError when a black component is not a path.  The
-    solution of each tridiagonal block is checked by substituting it
-    back into the defining equations.
+    ``chain_list``, when given, must be ``chains(graph)``; passing it
+    saves finding the black components again.  Raises NotChainError
+    when a black component is not a path, and ArithmeticError when the
+    integer residual check fails.
     """
+    if chain_list is None:
+        chain_list = chains(graph)
     boundary = graph.boundary
     out: dict[str, Fraction] = {}
-    for chain in chains(graph):
-        ids = chain.vertex_ids
-        k = len(ids)
-        diag = [Fraction(-m) for m in chain.marks]
-        rhs = []
-        for v, m in zip(ids, chain.marks):
-            bd_adj = 1 if boundary is not None and graph.adjacent(v, boundary) else 0
-            rhs.append(Fraction(2 - m - bd_adj))
-        sol = _solve_tridiagonal(diag, rhs)
-        # residual check: the off-diagonal entries are all 1
-        for i in range(k):
-            res = diag[i] * sol[i] - rhs[i]
-            if i > 0:
-                res += sol[i - 1]
-            if i + 1 < k:
-                res += sol[i + 1]
-            assert res == 0, "discrepancy residual must vanish exactly"
-        out.update(zip(ids, sol))
+    for chain in chain_list:
+        contacts = [
+            int(boundary is not None and graph.adjacent(v, boundary)) for v in chain.vertex_ids
+        ]
+        out.update(zip(chain.vertex_ids, _chain_discrepancies(chain.marks, contacts)))
     return out
 
 
-def _solve_tridiagonal(diag: Sequence[Fraction], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve the system with the given diagonal and unit off-diagonals.
+def _chain_discrepancies(marks: Sequence[int], contacts: Sequence[int]) -> list[Fraction]:
+    """Discrepancies of one chain from its continuants (see the module docstring).
 
-    Forward elimination never hits a zero pivot: the matrix is the
-    negative of a chain intersection matrix with marks >= 2, whose
-    leading principal minors alternate in sign and never vanish.
+    ``contacts[j]`` is 1 when the j-th vertex meets the boundary, else 0.
     """
-    k = len(diag)
-    d = list(diag)
-    r = list(rhs)
-    for i in range(1, k):
-        assert d[i - 1] != 0, "zero pivot in a chain system"
-        factor = Fraction(1) / d[i - 1]
-        d[i] -= factor
-        r[i] -= factor * r[i - 1]
-    sol = [Fraction(0)] * k
-    assert k == 0 or d[k - 1] != 0, "zero pivot in a chain system"
-    for i in range(k - 1, -1, -1):
-        acc = r[i]
-        if i + 1 < k:
-            acc -= sol[i + 1]
-        sol[i] = acc / d[i]
-    return sol
+    k = len(marks)
+    left = _continuants(marks)
+    right = _continuants(marks[::-1])
+    det = left[k]
+    # u_j = 2 - (chain neighbours of j) - (boundary contact of j)
+    u = [-c for c in contacts]
+    u[0] += 1
+    u[-1] += 1
+    support = [(i, ui) for i, ui in enumerate(u) if ui]
+    nums = []
+    for j in range(k):
+        num = det
+        for i, ui in support:
+            lo, hi = (i, j) if i <= j else (j, i)
+            num -= ui * left[lo] * right[k - 1 - hi]
+        nums.append(num)
+    # residual of the system times det: a_j N_j - N_{j-1} - N_{j+1}
+    # must equal det * (a_j - 2 + contacts_j) on every row
+    for j in range(k):
+        res = marks[j] * nums[j] - det * (marks[j] - 2 + contacts[j])
+        if j > 0:
+            res -= nums[j - 1]
+        if j + 1 < k:
+            res -= nums[j + 1]
+        if res:
+            raise ArithmeticError(f"discrepancy residual {res}/{det} on chain {tuple(marks)}")
+    return [Fraction(num, det) for num in nums]
+
+
+def _continuants(marks: Sequence[int]) -> list[int]:
+    """The continuants d_0 = 1, d_1 = a_1, ..., d_k of the marks a_1..a_k."""
+    out = [1]
+    prev = 0
+    for a in marks:
+        out.append(a * out[-1] - prev)
+        prev = out[-2]
+    return out
 
 
 def chain_determinant(marks: Sequence[int]) -> int:
@@ -190,10 +227,7 @@ def chain_determinant(marks: Sequence[int]) -> int:
     d_1 = a_1, d_j = a_j d_{j-1} - d_{j-2}; it equals the order of the
     cyclic group of the quotient singularity.
     """
-    prev, cur = 0, 1
-    for a in marks:
-        prev, cur = cur, a * cur - prev
-    return cur
+    return _continuants(marks)[-1]
 
 
 def orbifold_defect(determinants: Sequence[int]) -> Fraction:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +20,16 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.graph")
 
 
+def run_optimized(*args) -> subprocess.CompletedProcess:
+    """Run ``python -O`` on the checkout's sources; -O strips every assert."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -30,6 +43,30 @@ def test_verify_certified_fixture(capsys):
     assert "volume    1/78" in out
     assert "epsilon1  7/78" in out
     assert "delta1    1/7" in out
+
+
+def test_verify_under_python_O():
+    proc = run_optimized("-m", "fourlines.cli", "verify", fixture_path("p48983"))
+    assert proc.returncode == 0, proc.stderr
+    assert "volume    1/48983" in proc.stdout
+
+
+def test_discrepancy_residual_check_survives_python_O():
+    """With wrong continuants the integer residual check still raises under -O."""
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from fourlines import graph, singularities\n"
+        "singularities._continuants = lambda marks: [1] * (len(marks) + 1)\n"
+        "g = graph.parse(Path(sys.argv[1]).read_text())\n"
+        "try:\n"
+        "    singularities.solve_discrepancies(g)\n"
+        "except ArithmeticError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    proc = run_optimized("-c", script, fixture_path("p48983"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "1"]
 
 
 def test_verify_not_certified_exits_2(capsys):

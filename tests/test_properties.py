@@ -1,0 +1,206 @@
+"""Seeded property tests of the graph key, the graph builders and the discrepancy core.
+
+Each fast path is compared with a slow reference kept in this file: the
+canonical key with the minimum over all 24 corner relabelings, the
+copying ``insert`` with a replay of the whole history, and the integer
+continuant discrepancies with Fraction Gaussian elimination.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from fourlines.graph import EDGE_PAIRS, GraphError, VisibleGraph, new_base
+from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
+
+#: weight vectors with repeated entries give several least relabelings
+WEIGHT_VECTORS = ((1, 1, 2, 3), (0, 1, 1, 1), (1, 1, 1, 1), (2, 2, 3, 3), (1, 2, 3, 5))
+
+
+def grow(rng: random.Random, weights, boundary, max_insertions: int) -> VisibleGraph:
+    g = new_base(weights, boundary=boundary)
+    for k in range(rng.randint(0, max_insertions)):
+        a, b = rng.choice(list(g.adjacent_pairs()))
+        g = g.insert(a, b, f"v{k}")
+    return g
+
+
+def random_graphs(seed: int, count: int, max_insertions: int = 10):
+    rng = random.Random(seed)
+    for _ in range(count):
+        weights = list(rng.choice(WEIGHT_VECTORS))
+        rng.shuffle(weights)
+        yield grow(rng, weights, rng.choice((None, 0, 1, 2, 3)), max_insertions)
+
+
+def reference_key(g: VisibleGraph) -> str:
+    """The least (corner key, edge key) over all 24 corner relabelings."""
+    content = {pair: [] for pair in EDGE_PAIRS}
+    for v in g.vertices:
+        if not g.is_corner(v):
+            content[g.edge_of(v)].append(g.fraction(v))
+    best = None
+    for perm in permutations(range(4)):
+        corner_key = tuple(
+            (g.initial_weights[c].numerator, g.initial_weights[c].denominator, g.corners[c] == g.boundary)
+            for c in perm
+        )
+        edges_key = []
+        for i, j in EDGE_PAIRS:
+            a, b = perm[i], perm[j]
+            fr = content[(a, b)] if a < b else [(m2, m1) for m1, m2 in content[(b, a)]]
+            edges_key.append(tuple(sorted(fr, key=lambda f: (f[0] + f[1], f[0]))))
+        key = (corner_key, tuple(edges_key))
+        if best is None or key < best:
+            best = key
+    return repr(best)
+
+
+def state(g: VisibleGraph) -> dict:
+    """Everything the queries of a graph read, vertex by vertex."""
+    return {
+        "history": g.history,
+        "vertices": g.vertices,
+        "per_vertex": {
+            v: (g.mark(v), g.weight(v), g.neighbors(v), g.edge_of(v), g.fraction(v),
+                g.parents(v), g.children(v), g.color(v))
+            for v in g.vertices
+        },
+    }
+
+
+def fraction_solve(marks, contacts) -> list[Fraction]:
+    """Gaussian elimination of -a_j b_j + b_{j-1} + b_{j+1} = 2 - a_j - contacts_j."""
+    k = len(marks)
+    rows = []
+    for j in range(k):
+        row = [Fraction(0)] * k + [Fraction(2 - marks[j] - contacts[j])]
+        row[j] = Fraction(-marks[j])
+        if j > 0:
+            row[j - 1] = Fraction(1)
+        if j + 1 < k:
+            row[j + 1] = Fraction(1)
+        rows.append(row)
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [rows[j][k] / rows[j][j] for j in range(k)]
+
+
+# -- canonical key ----------------------------------------------------------
+
+
+def test_pruned_key_equals_full_permutation_key():
+    seen_repeated = 0
+    for g in random_graphs(seed=4242, count=600):
+        assert g.canonical_form() == reference_key(g)
+        if len(set(g.initial_weights)) < 4:
+            seen_repeated += 1
+    assert seen_repeated > 300
+
+
+def test_pruned_key_after_corner_relabeling():
+    """Relabeling the corners of a graph leaves its key unchanged."""
+    rng = random.Random(77)
+    for g in random_graphs(seed=78, count=200):
+        perm = list(range(4))
+        rng.shuffle(perm)
+        # corner perm[i] of g becomes corner i of h
+        corners = tuple(f"K{i}" for i in range(4))
+        rename = {g.corners[perm[i]]: corners[i] for i in range(4)}
+        weights = [g.initial_weights[perm[i]] for i in range(4)]
+        boundary = rename.get(g.boundary)
+        h = VisibleGraph(corners, weights, boundary)
+        for ins in g.history:
+            rename.setdefault(ins.new_id, ins.new_id)
+            h = h.insert(rename[ins.left_id], rename[ins.right_id], ins.new_id)
+        assert h.canonical_form() == g.canonical_form() == reference_key(h)
+
+
+# -- builders ----------------------------------------------------------------
+
+
+def test_normalized_keeps_form_and_bookkeeping():
+    for g in random_graphs(seed=909, count=400):
+        ng = g.normalized()
+        ng.check_bookkeeping()
+        assert ng.canonical_form() == g.canonical_form()
+        assert ng.normalized() == ng
+        assert ng.corners == ("C0", "C1", "C2", "C3")
+
+
+def test_from_edge_content_matches_insertion_replay():
+    """The one-shot builder equals inserting the same pairs one at a time."""
+    for g in random_graphs(seed=5150, count=200):
+        content = {pair: [] for pair in EDGE_PAIRS}
+        for v in g.vertices:
+            if not g.is_corner(v):
+                content[g.edge_of(v)].append(g.fraction(v))
+        built = VisibleGraph.from_edge_content(g.corners, g.initial_weights, g.boundary, content)
+        built.check_bookkeeping()
+        assert built.canonical_form() == g.canonical_form()
+        replay = VisibleGraph(g.corners, g.initial_weights, g.boundary)
+        for ins in built.history:
+            replay = replay.insert(ins.left_id, ins.right_id, ins.new_id)
+        assert state(replay) == state(built)
+
+
+def test_from_edge_content_rejects_a_pair_without_its_parents():
+    with pytest.raises(GraphError):
+        VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(0, 1): [(1, 2)]})
+
+
+def test_insert_copy_equals_history_replay_and_leaves_parent_alone():
+    rng = random.Random(31)
+    for g in random_graphs(seed=32, count=200, max_insertions=8):
+        before = state(g)
+        for a, b in rng.sample(list(g.adjacent_pairs()), 2):
+            h = g.insert(a, b, "new")
+            h.check_bookkeeping()
+            replay = VisibleGraph(g.corners, g.initial_weights, g.boundary, h.history)
+            assert state(h) == state(replay)
+            # a grandchild must not reach back into h or g either
+            h.insert(a, "new", "newer")
+            assert state(h) == state(replay)
+        assert state(g) == before
+
+
+# -- discrepancies -----------------------------------------------------------
+
+
+def test_integer_discrepancies_equal_fraction_solve_on_random_chains():
+    rng = random.Random(1618)
+    interior_contacts = 0
+    for _ in range(1500):
+        k = rng.randint(1, 9)
+        marks = [rng.choice((2, 2, 2, 3, 4, 5, 9)) for _ in range(k)]
+        contacts = [int(rng.random() < 0.3) for _ in range(k)]
+        interior_contacts += any(contacts[1:-1])
+        assert _chain_discrepancies(marks, contacts) == fraction_solve(marks, contacts)
+    assert interior_contacts > 300
+
+
+def test_integer_discrepancies_equal_fraction_solve_on_graphs():
+    touched = {"end": 0, "interior": 0}
+    for g in random_graphs(seed=2024, count=800, max_insertions=12):
+        if check_log_terminal(g) is not None:
+            continue
+        b = solve_discrepancies(g)
+        for chain in chains(g):
+            ids = chain.vertex_ids
+            contacts = [int(g.boundary is not None and g.adjacent(v, g.boundary)) for v in ids]
+            assert [b[v] for v in ids] == fraction_solve(chain.marks, contacts)
+            if contacts[0] or contacts[-1]:
+                touched["end"] += 1
+            if any(contacts[1:-1]):
+                touched["interior"] += 1
+    assert touched["end"] > 50
+    assert touched["interior"] > 0
