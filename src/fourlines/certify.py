@@ -213,9 +213,14 @@ def epsilon1(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
     )
 
 
-def delta1(graph: "VisibleGraph") -> Optional[Fraction]:
-    """1/n in the boundary_unit case; None otherwise."""
-    if classify_near_cy(graph).kind == "boundary_unit":
+def delta1(graph: "VisibleGraph", near: Optional[NearCY] = None) -> Optional[Fraction]:
+    """1/n in the boundary_unit case; None otherwise.
+
+    ``near``, when given, must be ``classify_near_cy(graph)``.
+    """
+    if near is None:
+        near = classify_near_cy(graph)
+    if near.kind == "boundary_unit":
         return Fraction(1, graph.total_weight)
     return None
 
@@ -263,7 +268,7 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
 
     vol = volume(graph, b)
     eps = epsilon1(graph, b) if graph.boundary is not None else None
-    dlt = delta1(graph)
+    dlt = delta1(graph, near)
 
     if not reasons:
         kcs = {v: kc_degree(graph, b, v) for v in graph.whites()}

@@ -132,10 +132,11 @@ def _cmd_invisible(args: argparse.Namespace) -> int:
         _print_report(report, stream=sys.stderr)
         return 2
     b = solve_discrepancies(g)
+    # searched before anything is printed, so a bad --d-max leaves stdout empty
+    candidates = search_orthogonal(g, b, args.d_max)
     print("support " + " ".join(support(g, b)))
     ids = [ins.new_id for ins in g.history]
     print("basis H " + " ".join(ids))
-    candidates = search_orthogonal(g, b, args.d_max)
     for cand in candidates:
         vec = [str(int(cand.divisor.h))] + [
             str(int(cand.divisor.e.get(i, 0))) for i in ids

@@ -8,11 +8,14 @@ pattern whose final whites weigh exactly the total weight n (a "CY
 pattern", enumerated through the Stern-Brocot structure of the edge),
 and the assembly either keeps the boundary at weight 1 or steps exactly
 one white up to n + 1.  Certifying the assembled graphs and keeping the
-smallest volume reproduces the record hunts at desk scale.
+smallest volume reproduces the record hunts at desk scale.  A CY search
+enumerates each edge once, allowing one step, and splits that pass into
+the edge's CY and one-step lists.
 
 Both modes may fan out over worker processes.  Work is split into
 disjoint task blocks whose results merge as plain set unions keyed by
-canonical form, so the output is identical for every worker count.
+canonical form, so the output is identical for every worker count.  The
+CY tables are built once per search and handed to every worker.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .certify import SurfaceReport, certify
 from .graph import (
@@ -125,10 +128,11 @@ def _interval_patterns(
 
     Pruning is exact: inserting the mediant forces some white in its
     subtree to weigh at least the mediant's weight, because the
-    multiplicity pairs only grow downward.
+    multiplicity pairs only grow downward.  For the same reason an
+    interval whose two ends weigh 0 holds only whites of weight 0.
     """
     out: list[tuple[Pattern, int]] = [((), 0)]
-    if budget < 1:
+    if budget < 1 or (wlo == whi == 0 and n > 0):
         return out
     wm = wlo + whi
     if wm > n + steps:
@@ -151,6 +155,21 @@ def _pattern_key(pattern: Pattern):
     return (len(pattern), sorted(pattern))
 
 
+def _edge_tables(
+    w_a: Rational, w_b: Rational, n: Rational, max_insertions: int, steps: int
+) -> tuple[list[Pattern], list[Pattern]]:
+    """One enumeration of an edge, split into its CY and one-step lists.
+
+    A 0-step pattern never holds a mediant heavier than n, so the
+    ``steps=1`` pass contains every CY pattern the ``steps=0`` pass finds.
+    """
+    w_a, w_b = Fraction(w_a), Fraction(w_b)
+    if w_a < 0 or w_b < 0:
+        raise ValueError("corner weights must be nonnegative")
+    pats = _interval_patterns((1, 0), (0, 1), w_a, w_b, Fraction(n), int(max_insertions), steps)
+    return tuple(sorted((p for p, s in pats if s == used), key=_pattern_key) for used in (0, 1))
+
+
 def cy_edge_enumerate(
     w_a: Rational, w_b: Rational, n: Rational, max_insertions: int
 ) -> list[Pattern]:
@@ -160,22 +179,14 @@ def cy_edge_enumerate(
     pair (m1, m2) weighs m1*w_a + m2*w_b.  The empty pattern (no whites
     at all) is always included.  Output is sorted by size.
     """
-    w_a, w_b = Fraction(w_a), Fraction(w_b)
-    if w_a < 0 or w_b < 0:
-        raise ValueError("corner weights must be nonnegative")
-    pats = _interval_patterns((1, 0), (0, 1), w_a, w_b, Fraction(n), int(max_insertions), 0)
-    return sorted((p for p, _ in pats), key=_pattern_key)
+    return _edge_tables(w_a, w_b, n, max_insertions, 0)[0]
 
 
 def step_edge_enumerate(
     w_a: Rational, w_b: Rational, n: Rational, max_insertions: int
 ) -> list[Pattern]:
     """Patterns with exactly one white at n + 1 and every other at n."""
-    w_a, w_b = Fraction(w_a), Fraction(w_b)
-    if w_a < 0 or w_b < 0:
-        raise ValueError("corner weights must be nonnegative")
-    pats = _interval_patterns((1, 0), (0, 1), w_a, w_b, Fraction(n), int(max_insertions), 1)
-    return sorted((p for p, s in pats if s == 1), key=_pattern_key)
+    return _edge_tables(w_a, w_b, n, max_insertions, 1)[1]
 
 
 def _corner_touches(pattern: Pattern) -> tuple[int, int]:
@@ -188,16 +199,6 @@ def _corner_touches(pattern: Pattern) -> tuple[int, int]:
             elif p == (0, 1):
                 hi += 1
     return lo, hi
-
-
-def _assemble(
-    weights: Sequence[Fraction],
-    boundary_index: Optional[int],
-    patterns: dict[Pair, Pattern],
-) -> VisibleGraph:
-    """Build the graph carrying the given pattern on every edge."""
-    bd = None if boundary_index is None else _CORNERS[boundary_index]
-    return VisibleGraph.from_edge_content(_CORNERS, weights, bd, patterns)
 
 
 # -- shared bookkeeping --------------------------------------------------
@@ -241,23 +242,24 @@ def _select_best(
     return best, len(eligible)
 
 
-def _run_tasks(worker, config: SearchConfig, tasks: list) -> tuple[set, dict]:
+def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
     """Fan tasks out over processes; merge by plain union.
 
-    The merged sets depend only on the union of tasks, never on the
-    chunking, which is what makes the result worker-count independent.
+    Each call of ``worker`` gets ``(shared, chunk)``.  The merged sets
+    depend only on the union of tasks, never on the chunking, which is
+    what makes the result worker-count independent.
     """
     seen: set[str] = set()
     certified: dict[str, Payload] = {}
-    jobs = min(config.jobs, max(1, len(tasks)))
+    jobs = min(jobs, max(1, len(tasks)))
     if jobs == 1:
         chunks = [tasks] if tasks else []
-        results = [worker((config, chunk)) for chunk in chunks]
+        results = [worker((shared, chunk)) for chunk in chunks]
     else:
         chunks = [tasks[i::jobs] for i in range(jobs)]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, [(config, c) for c in chunks]))
+            results = list(pool.map(worker, [(shared, c) for c in chunks]))
     for part_seen, part_certified in results:
         seen |= part_seen
         certified.update(part_certified)
@@ -334,7 +336,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
             if f not in root_forms:
                 root_forms.add(f)
                 moves.append((a, b))
-    sub_seen, sub_certified = _run_tasks(_generic_worker, config, moves)
+    sub_seen, sub_certified = _run_tasks(_generic_worker, config, moves, config.jobs)
     seen |= sub_seen
     certified.update(sub_certified)
     best, eligible = _select_best(certified, config.rho_filter)
@@ -353,20 +355,23 @@ def generic_search(config: SearchConfig) -> SearchResult:
 
 
 def _cy_tables(config: SearchConfig):
-    """Per-edge CY and one-step pattern lists, plus corner touch counts."""
-    n = config.total_weight
-    budget = config.max_blowups
-    w = config.weights
-    cy = {}
-    step = {}
+    """Per-edge CY and one-step pattern lists, plus corner touch counts.
+
+    Each edge is enumerated once; the tables go to every worker.
+    """
+    n, w = config.total_weight, config.weights
+    cy, step = {}, {}
     for i, j in EDGE_PAIRS:
-        cy[(i, j)] = cy_edge_enumerate(w[i], w[j], n, budget)
-        step[(i, j)] = step_edge_enumerate(w[i], w[j], n, budget)
-    return cy, step
+        cy[(i, j)], step[(i, j)] = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
+    touches = {edge: [_corner_touches(p) for p in pats] for edge, pats in cy.items()}
+    return cy, step, touches
 
 
 def _cy_case(config: SearchConfig) -> int:
     """3 = keep the unit boundary and stay CY; 2 = step one white up."""
+    if config.total_weight == 0:
+        # no white can then reach n + 1 = 1, and every mediant is CY
+        raise ValueError("cy_step_up mode needs a nonzero total weight")
     if config.boundary:
         w0 = config.weights[0]
         if w0 == 1:
@@ -378,15 +383,12 @@ def _cy_case(config: SearchConfig) -> int:
 
 
 def _cy_worker(args) -> tuple[set[str], dict[str, Payload]]:
-    config, tasks = args
-    cy, step = _cy_tables(config)
-    touches = {
-        edge: [_corner_touches(p) for p in pats] for edge, pats in cy.items()
-    }
+    (config, cy, step, touches), tasks = args
     weights = config.weights
     n = config.total_weight
     budget = config.max_blowups
     b_index = config.boundary_index
+    bd = None if b_index is None else _CORNERS[b_index]
     seen: set[str] = set()
     certified: dict[str, Payload] = {}
 
@@ -404,7 +406,7 @@ def _cy_worker(args) -> tuple[set[str], dict[str, Payload]]:
     def finish(patterns: dict[Pair, Pattern], counts) -> None:
         if not corner_ok(counts):
             return
-        g = _assemble(weights, b_index, patterns)
+        g = VisibleGraph.from_edge_content(_CORNERS, weights, bd, patterns)
         form = g.canonical_form()
         if form in seen:
             return
@@ -456,16 +458,12 @@ def cy_step_up_search(config: SearchConfig) -> SearchResult:
     if config.mode != CY_STEP_UP:
         raise ValueError("cy_step_up_search needs mode='cy_step_up'")
     case = _cy_case(config)
-    cy, step = _cy_tables(config)
+    cy, step, touches = _cy_tables(config)
     if case == 3:
         tasks = [(None, k) for k in range(len(cy[EDGE_PAIRS[0]]))]
     else:
-        tasks = [
-            (e, k)
-            for e in range(6)
-            for k in range(len(step[EDGE_PAIRS[e]]))
-        ]
-    seen, certified = _run_tasks(_cy_worker, config, tasks)
+        tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
+    seen, certified = _run_tasks(_cy_worker, (config, cy, step, touches), tasks, config.jobs)
     best, eligible = _select_best(certified, config.rho_filter)
     return SearchResult(
         best=best,

@@ -137,10 +137,10 @@ def _chain_verdict(graph: "VisibleGraph", comp: tuple[str, ...]) -> str | None:
 
 def check_log_terminal(graph: "VisibleGraph") -> str | None:
     """None when every black component is a chain, else a description."""
-    for comp in black_components(graph):
-        verdict = _chain_verdict(graph, comp)
-        if verdict is not None:
-            return verdict
+    try:
+        chains(graph)
+    except NotChainError as exc:
+        return str(exc)
     return None
 
 

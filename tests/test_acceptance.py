@@ -244,11 +244,11 @@ def test_criterion_10a_volume_identity_on_certified_population():
         weights=(1, 2, 3, 5), boundary=False, max_blowups=30, jobs=4
     )
     assert _cy_case(config) == 2
-    _, step = _cy_tables(config)
+    cy, step, touches = _cy_tables(config)
     tasks = [
         (e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))
     ]
-    _, certified = _run_tasks(_cy_worker, config, tasks)
+    _, certified = _run_tasks(_cy_worker, (config, cy, step, touches), tasks, config.jobs)
     assert len(certified) >= 1000
     for num, den, _, text in certified.values():
         g = parse(text)

@@ -204,6 +204,20 @@ def test_invisible_finds_the_462_class(capsys):
     assert lines[3] == "candidates 1"
 
 
+def test_invisible_rejects_d_max_before_printing(capsys):
+    code, out, err = run(capsys, "invisible", fixture_path("p462a"), "--d-max", "0")
+    assert code == 1
+    assert out == ""
+    assert "d_max must be at least 1" in err
+
+
+def test_search_zero_total_weight_exits_1(capsys):
+    code, out, err = run(capsys, "search", "--weights", "0,0,0,0", "--max-blowups", "14")
+    assert code == 1
+    assert out == ""
+    assert "total weight" in err
+
+
 def test_invisible_requires_certified_graph(capsys):
     code, out, err = run(capsys, "invisible", fixture_path("base"))
     assert code == 2

@@ -1,9 +1,11 @@
-"""Seeded property tests of the graph key, the graph builders and the discrepancy core.
+"""Seeded property tests of the graph key, the graph builders, the discrepancy
+core and the CY edge tables.
 
-Each fast path is compared with a slow reference kept in this file: the
-canonical key with the minimum over all 24 corner relabelings, the
-copying ``insert`` with a replay of the whole history, and the integer
-continuant discrepancies with Fraction Gaussian elimination.
+Each fast path is compared with a slow reference: the canonical key with
+the minimum over all 24 corner relabelings, the copying ``insert`` with a
+replay of the whole history, the integer continuant discrepancies with
+Fraction Gaussian elimination, and the one-pass edge tables of a CY
+search with the public per-edge enumerators.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import permutations
 
 import pytest
 
-from fourlines.graph import EDGE_PAIRS, GraphError, VisibleGraph, new_base
+from fourlines.graph import EDGE_PAIRS, GraphError, VisibleGraph, _stern_brocot_parents, new_base
+from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, step_edge_enumerate
 from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
 
 #: weight vectors with repeated entries give several least relabelings
@@ -204,3 +207,38 @@ def test_integer_discrepancies_equal_fraction_solve_on_graphs():
                 touched["interior"] += 1
     assert touched["end"] > 50
     assert touched["interior"] > 0
+
+
+# -- CY edge tables ----------------------------------------------------------
+
+
+def white_weights(pattern, w_a, w_b) -> list:
+    """Weights of the pairs of an edge pattern that are parents of no other pair."""
+    parents = {p for m in pattern for p in _stern_brocot_parents(*m)}
+    return [m1 * w_a + m2 * w_b for m1, m2 in pattern if (m1, m2) not in parents]
+
+
+def test_one_pass_edge_tables_equal_the_public_enumerators():
+    rng = random.Random(314)
+    choices = (0, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+    tried = with_steps = 0
+    while tried < 60:
+        weights = [rng.choice(choices) for _ in range(4)]
+        if sum(weights) == 0:
+            continue
+        tried += 1
+        budget = rng.randint(0, 14)
+        config = SearchConfig(weights, boundary=rng.random() < 0.5, max_blowups=budget)
+        n = config.total_weight
+        cy, step, _ = _cy_tables(config)
+        for i, j in EDGE_PAIRS:
+            assert cy[(i, j)] == cy_edge_enumerate(weights[i], weights[j], n, budget)
+            assert step[(i, j)] == step_edge_enumerate(weights[i], weights[j], n, budget)
+            with_steps += bool(step[(i, j)])
+            # the split itself: whites at n, plus exactly one at n + 1 on the step side
+            for pattern in cy[(i, j)]:
+                assert all(w == n for w in white_weights(pattern, weights[i], weights[j]))
+            for pattern in step[(i, j)]:
+                whites = white_weights(pattern, weights[i], weights[j])
+                assert whites.count(n + 1) == 1 and whites.count(n) == len(whites) - 1
+    assert with_steps > 100

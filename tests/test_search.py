@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from fourlines import search as searchmod
 from fourlines.certify import certify
 from fourlines.graph import EDGE_PAIRS, _stern_brocot_parents, new_base, parse, serialize
 from fourlines.search import (
@@ -144,6 +146,46 @@ def test_cy_edge_patterns_reject_negative_weight():
         cy_edge_enumerate(-1, 2, 11, 5)
     with pytest.raises(ValueError):
         step_edge_enumerate(1, -2, 11, 5)
+
+
+def test_zero_weight_edge_returns_at_once():
+    # every interior vertex of the edge weighs 0, so no white reaches n or n + 1
+    start = time.perf_counter()
+    assert cy_edge_enumerate(0, 0, 2, 24) == [()]
+    assert step_edge_enumerate(0, 0, 2, 24) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cy_search_rejects_zero_total_weight(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated an edge")
+
+    monkeypatch.setattr(searchmod, "_interval_patterns", no_enumeration)
+    for boundary in (False, True):
+        with pytest.raises(ValueError, match="total weight"):
+            run_search(SearchConfig(weights=(0, 0, 0, 0), boundary=boundary, max_blowups=14))
+
+
+def test_cy_search_rejects_negative_weight():
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_search(SearchConfig((-1, 2, 3, 5), max_blowups=8))
+
+
+def test_cy_search_enumerates_each_edge_once(monkeypatch):
+    inner = searchmod._interval_patterns
+    top_level = []
+
+    def counting(lo, hi, *rest):
+        if (lo, hi) == ((1, 0), (0, 1)):
+            top_level.append(rest[-1])
+        return inner(lo, hi, *rest)
+
+    monkeypatch.setattr(searchmod, "_interval_patterns", counting)
+    for weights, boundary in (((1, 2, 3, 5), False), ((1, 2, 3, 5), True), ((0, 1, 1, 1), True)):
+        top_level.clear()
+        result = cy_step_up_search(SearchConfig(weights, boundary=boundary, max_blowups=10))
+        assert result.explored["assembled"] > 0
+        assert top_level == [1] * 6  # one pass per edge, allowing one step
 
 
 def test_step_edge_patterns_have_one_heavy_leaf():
