@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  verify        certify a graph file and print the report
+  verify        certify a graph file and print the report (--json for JSON)
   search        hunt for minimal-volume certified surfaces
   tsurf         closed forms A, B1, B2, K^2 for a T-surface quadruple
   hypersurface  K^2 of a degree-d hypersurface in weighted projective space
@@ -40,9 +40,9 @@ _MODES = {"generic": GENERIC, "cy": CY_STEP_UP}
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        return graphmod.parse_weight(text)
+    except graphmod.FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _weights(text: str) -> tuple[Fraction, ...]:
@@ -77,7 +77,10 @@ def _load_graph(path: str) -> graphmod.VisibleGraph:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
     report = certify(g, weights=args.weights)
-    _print_report(report)
+    if args.json:
+        print(report.to_json())
+    else:
+        _print_report(report)
     return 0 if report.certified else 2
 
 
@@ -166,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the file's corner weights, e.g. 1,2,3,5",
     )
+    p.add_argument("--json", action="store_true", help="print the report as JSON")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="search for minimal-volume certified surfaces")

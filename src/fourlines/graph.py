@@ -15,19 +15,27 @@ Interior vertices are tracked together with their multiplicity pair
 a and b equals m1*w(a) + m2*w(b) and the pair is always coprime.  The
 pair is the Stern-Brocot coordinate of the vertex inside its edge, and
 it determines the creation parents of the vertex uniquely.
+
+An insertion changes only its own edge and that edge's two corners, so
+a graph built from edge content is merged from six per-edge pieces cached
+on the edge's corner ids and pairs: a search that assembles thousands of
+graphs from a few hundred edge patterns applies each pattern once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "GraphError",
     "FormatError",
+    "MAX_WEIGHT_DIGITS",
     "Insertion",
     "VisibleGraph",
     "EDGE_PAIRS",
@@ -37,6 +45,7 @@ __all__ = [
     "UNDEFINED",
     "new_base",
     "parse",
+    "parse_weight",
     "serialize",
 ]
 
@@ -125,19 +134,32 @@ class VisibleGraph:
         order and, inside an edge, by (m1 + m2, m1), which puts creation
         parents first; the vertex (m1, m2) on edge (i, j) gets the id
         ``E{i}{j}_{m1}_{m2}``.
+
+        The result equals that replay, merged from the cached
+        ``_edge_piece`` of each edge into a base graph: the piece tables
+        are copied in EDGE_PAIRS order and each corner gains its pieces'
+        touch counts, children and edge neighbours.
         """
-        corners = tuple(corners)
-        history = []
+        g = cls(corners, weights, boundary)
+        tables = (g._mark, g._adj, g._edge, g._frac, g._parents, g._children)
+        near = {c: [] for c in g.corners}
         for i, j in EDGE_PAIRS:
-            ids = {(1, 0): corners[i], (0, 1): corners[j]}
-            for m1, m2 in sorted(content.get((i, j), ()), key=_creation_order):
-                p1, p2 = _stern_brocot_parents(m1, m2)
-                if p1 not in ids or p2 not in ids:
-                    raise GraphError(f"pair {(m1, m2)} on edge {(i, j)} lacks a creation parent")
-                vid = f"E{i}{j}_{m1}_{m2}"
-                history.append(Insertion(vid, ids[p1], ids[p2]))
-                ids[(m1, m2)] = vid
-        return cls(corners, weights, boundary, history)
+            ci, cj = g.corners[i], g.corners[j]
+            history, vertices, pieces, ends = _edge_piece(i, j, ci, cj, tuple(content.get((i, j), ())))
+            g._history += history
+            g._vertices += vertices
+            for table, piece in zip(tables, pieces):
+                table.update(piece)
+            for c, (touches, children, end) in zip((ci, cj), ends):
+                g._mark[c] += touches
+                g._children[c] += children
+                near[c].append(end)
+        if len(g._mark) != len(g._vertices):  # an interior id equals a corner id
+            raise GraphError(f"duplicate vertex id among the corners {g.corners}")
+        for c, neighbours in near.items():
+            g._adj[c] = frozenset(neighbours)
+        g._seal()
+        return g
 
     # -- construction ----------------------------------------------------
 
@@ -170,7 +192,8 @@ class VisibleGraph:
         self._mark[b] += 1
         self._mark[new] = 1
         # replace the neighbour sets and child tuples of a and b rather
-        # than change them: insert() shares them with the parent graph
+        # than change them: insert() shares them with the parent graph,
+        # from_edge_content with the cached edge pieces
         adj[a] = adj[a].difference((b,)).union((new,))
         adj[b] = adj[b].difference((a,)).union((new,))
         adj[new] = frozenset((a, b))
@@ -436,6 +459,34 @@ def _sorting_relabelings(corner_key: tuple) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=1024)
+def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int], ...]):
+    """Insertions, new ids and interior tables of edge (i, j) from ``ci`` to ``cj``.
+
+    The pairs go through ``_apply`` on a graph of the two corners alone,
+    whose marks start at 0 and so end as touch counts; ``ends`` holds each
+    corner's touch count, children and neighbour on the edge.  Callers
+    copy the tables; their values are ints, tuples and frozensets, which
+    ``_apply`` replaces and never mutates.
+    """
+    p = object.__new__(VisibleGraph)
+    p._cindex, p._mark, p._children = {ci: i, cj: j}, {ci: 0, cj: 0}, {ci: (), cj: ()}
+    p._adj = {ci: frozenset((cj,)), cj: frozenset((ci,))}
+    p._edge, p._frac, p._parents, p._history, p._vertices = {}, {}, {}, [], []
+    ids = {(1, 0): ci, (0, 1): cj}
+    for m1, m2 in sorted(pattern, key=_creation_order):
+        if min(m1, m2) < 1 or gcd(m1, m2) != 1:  # no Stern-Brocot pair; the descent would not end
+            raise GraphError(f"pair {(m1, m2)} on edge {(i, j)} is not a coprime positive pair")
+        p1, p2 = _stern_brocot_parents(m1, m2)
+        if p1 not in ids or p2 not in ids:
+            raise GraphError(f"pair {(m1, m2)} on edge {(i, j)} lacks a creation parent")
+        ids[(m1, m2)] = f"E{i}{j}_{m1}_{m2}"
+        p._apply(Insertion(ids[(m1, m2)], ids[p1], ids[p2]))
+    ends = tuple((p._mark.pop(c), p._children.pop(c), *p._adj.pop(c)) for c in (ci, cj))
+    tables = (p._mark, p._adj, p._edge, p._frac, p._parents, p._children)
+    return tuple(p._history), tuple(p._vertices), tables, ends
+
+
 @lru_cache(maxsize=4096)
 def _stern_brocot_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Creation parents of the coprime pair (m1, m2).
@@ -482,6 +533,26 @@ def new_base(
 #
 # '#' starts a comment; blank lines are ignored.
 
+#: longest weight literal, and largest exponent in one, that parse accepts;
+#: Fraction("1e2000000") alone builds a two-million-digit integer
+MAX_WEIGHT_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
+def parse_weight(text: str) -> Fraction:
+    """Exact weight written as an integer, ``p/q`` or decimal literal.
+
+    A malformed literal, or one past MAX_WEIGHT_DIGITS in length or in
+    exponent, raises FormatError before Fraction would build it.
+    """
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_WEIGHT_DIGITS or (exponent and abs(int(exponent[1])) > MAX_WEIGHT_DIGITS):
+        raise FormatError(f"{text!r} is too long or its exponent too large (limit {MAX_WEIGHT_DIGITS})")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"{text!r} is not a rational number") from None
+
 
 def parse(text: str) -> VisibleGraph:
     corners = None
@@ -506,8 +577,8 @@ def parse(text: str) -> VisibleGraph:
             if len(args) != 4:
                 raise FormatError(f"line {lineno}: need four weights")
             try:
-                weights = tuple(Fraction(a) for a in args)
-            except (ValueError, ZeroDivisionError) as exc:
+                weights = tuple(parse_weight(a) for a in args)
+            except FormatError as exc:
                 raise FormatError(f"line {lineno}: bad weight: {exc}") from None
         elif kw == "boundary":
             if boundary is not None:

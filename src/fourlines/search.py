@@ -20,6 +20,7 @@ CY tables are built once per search and handed to every worker.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,11 +248,12 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
 
     Each call of ``worker`` gets ``(shared, chunk)``.  The merged sets
     depend only on the union of tasks, never on the chunking, which is
-    what makes the result worker-count independent.
+    what makes the result worker-count independent.  The pool never has
+    more workers than tasks or CPUs.
     """
     seen: set[str] = set()
     certified: dict[str, Payload] = {}
-    jobs = min(jobs, max(1, len(tasks)))
+    jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
     if jobs == 1:
         chunks = [tasks] if tasks else []
         results = [worker((shared, chunk)) for chunk in chunks]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +68,29 @@ def test_discrepancy_residual_check_survives_python_O():
     proc = run_optimized("-c", script, fixture_path("p48983"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "1"]
+
+
+def test_verify_json_report(capsys):
+    code, out, _ = run(capsys, "verify", "--json", fixture_path("p48983"))
+    assert code == 0
+    report = json.loads(out)
+    assert Fraction(report["volume"]["num"], report["volume"]["den"]) == Fraction(1, 48983)
+    assert report["status"] == "big_nef"
+
+    code, out, _ = run(capsys, "verify", "--json", fixture_path("base"))
+    assert code == 2
+    assert json.loads(out)["status"] == "not_certified"
+    assert run(capsys, "verify", "--json", fixture_path("missing"))[0] == 1
+
+
+def test_weight_literals_are_bounded(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--weights", "1e2000000,1,1,1", "--max-blowups", "4")
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == ""
+    assert f"exponent too large (limit {graphmod.MAX_WEIGHT_DIGITS})" in err
+    code, out, _ = run(capsys, "search", "--weights", "1/2,3,0,1", "--max-blowups", "2")
+    assert code == 0 and "minimum" in out
 
 
 def test_verify_not_certified_exits_2(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,15 @@ def test_parse_rejects_malformed():
         parse("corners a b c d\nweights 1 1 1 1\ninsert x a b\ninsert y a b\n")
     missing = pytest.raises(FormatError, parse, "weights 1 1 1 1\n")
     assert "corners" in str(missing.value)
+
+
+def test_parse_bounds_weight_literals():
+    start = time.perf_counter()
+    err = pytest.raises(FormatError, parse, "corners a b c d\nweights 1e2000000 1 1 1\n")
+    assert time.perf_counter() - start < 0.1
+    assert "line 2" in str(err.value) and str(graphmod.MAX_WEIGHT_DIGITS) in str(err.value)
+    g = parse("corners a b c d\nweights 1/2 3 0 1\n")
+    assert g.initial_weights == (Fraction(1, 2), 3, 0, 1)
 
 
 def test_parse_reports_line_numbers():

@@ -1,11 +1,13 @@
-"""Seeded property tests of the graph key, the graph builders, the discrepancy
-core and the CY edge tables.
+"""Seeded property tests of the graph key, the graph builders, the graph
+file format, the discrepancy core and the CY edge tables.
 
 Each fast path is compared with a slow reference: the canonical key with
-the minimum over all 24 corner relabelings, the copying ``insert`` with a
-replay of the whole history, the integer continuant discrepancies with
-Fraction Gaussian elimination, and the one-pass edge tables of a CY
-search with the public per-edge enumerators.
+the minimum over all 24 corner relabelings, the copying ``insert`` and
+the piece-merging ``from_edge_content`` with a replay of the whole
+history, the integer continuant discrepancies with Fraction Gaussian
+elimination, and the one-pass edge tables of a CY search with the public
+per-edge enumerators.  Graph files must round-trip, and damaged ones must
+fail with FormatError alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from itertools import permutations
 
 import pytest
 
-from fourlines.graph import EDGE_PAIRS, GraphError, VisibleGraph, _stern_brocot_parents, new_base
+from fourlines.graph import (
+    EDGE_PAIRS,
+    FormatError,
+    GraphError,
+    VisibleGraph,
+    _stern_brocot_parents,
+    new_base,
+    parse,
+    serialize,
+)
 from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, step_edge_enumerate
 from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
 
@@ -140,25 +151,63 @@ def test_normalized_keeps_form_and_bookkeeping():
         assert ng.corners == ("C0", "C1", "C2", "C3")
 
 
+def edge_content(g: VisibleGraph) -> dict:
+    content = {pair: [] for pair in EDGE_PAIRS}
+    for v in g.vertices:
+        if not g.is_corner(v):
+            content[g.edge_of(v)].append(g.fraction(v))
+    return {pair: tuple(pairs) for pair, pairs in content.items()}
+
+
+def replayed(g: VisibleGraph) -> VisibleGraph:
+    """``g`` rebuilt by inserting its history one step at a time."""
+    replay = VisibleGraph(g.corners, g.initial_weights, g.boundary)
+    for ins in g.history:
+        replay = replay.insert(ins.left_id, ins.right_id, ins.new_id)
+    return replay
+
+
 def test_from_edge_content_matches_insertion_replay():
     """The one-shot builder equals inserting the same pairs one at a time."""
     for g in random_graphs(seed=5150, count=200):
-        content = {pair: [] for pair in EDGE_PAIRS}
-        for v in g.vertices:
-            if not g.is_corner(v):
-                content[g.edge_of(v)].append(g.fraction(v))
-        built = VisibleGraph.from_edge_content(g.corners, g.initial_weights, g.boundary, content)
+        built = VisibleGraph.from_edge_content(g.corners, g.initial_weights, g.boundary, edge_content(g))
         built.check_bookkeeping()
         assert built.canonical_form() == g.canonical_form()
-        replay = VisibleGraph(g.corners, g.initial_weights, g.boundary)
-        for ins in built.history:
-            replay = replay.insert(ins.left_id, ins.right_id, ins.new_id)
-        assert state(replay) == state(built)
+        assert state(replayed(built)) == state(built)
+
+
+def test_inserting_on_a_built_graph_leaves_the_cached_pieces_alone():
+    """Graphs built from one content share cached per-edge pieces; insert must not reach them."""
+    rng = random.Random(6061)
+    for g in random_graphs(seed=6060, count=150, max_insertions=8):
+        args = (g.corners, g.initial_weights, g.boundary, edge_content(g))
+        built = VisibleGraph.from_edge_content(*args)
+        h = built
+        for k in range(2):
+            a, b = rng.choice(list(h.adjacent_pairs()))
+            h = h.insert(a, b, f"extra{k}")
+            h.check_bookkeeping()
+        again = VisibleGraph.from_edge_content(*args)
+        assert state(again) == state(replayed(again)) == state(built)
 
 
 def test_from_edge_content_rejects_a_pair_without_its_parents():
-    with pytest.raises(GraphError):
-        VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(0, 1): [(1, 2)]})
+    # twice in a row: the piece cache must not remember a failed edge as a good one
+    for _ in range(2):
+        with pytest.raises(GraphError, match="creation parent"):
+            VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(0, 1): [(1, 2)]})
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (0, 1), (1, 0), (-1, 2)])
+def test_from_edge_content_rejects_a_pair_outside_the_stern_brocot_tree(pair):
+    with pytest.raises(GraphError, match="coprime positive"):
+        VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(1, 3): [(1, 1), pair]})
+
+
+def test_from_edge_content_rejects_an_interior_id_equal_to_a_corner():
+    corners = ("a", "b", "E01_1_1", "d")
+    with pytest.raises(GraphError, match="duplicate vertex id"):
+        VisibleGraph.from_edge_content(corners, (1, 2, 3, 5), None, {(0, 1): [(1, 1)]})
 
 
 def test_insert_copy_equals_history_replay_and_leaves_parent_alone():
@@ -174,6 +223,42 @@ def test_insert_copy_equals_history_replay_and_leaves_parent_alone():
             h.insert(a, "new", "newer")
             assert state(h) == state(replay)
         assert state(g) == before
+
+
+# -- graph files -------------------------------------------------------------
+
+
+def test_parse_inverts_serialize():
+    rng = random.Random(8088)
+    for g in random_graphs(seed=8080, count=300):
+        fractional = g.reweighted([w / rng.choice((1, 2, 3, 7)) for w in g.initial_weights])
+        built = VisibleGraph.from_edge_content(g.corners, g.initial_weights, g.boundary, edge_content(g))
+        for h in (g, fractional, built, g.normalized()):
+            again = parse(serialize(h))
+            assert again == h
+            assert state(again) == state(h)
+
+
+def test_damaged_graph_files_raise_only_format_error():
+    rng = random.Random(9099)
+    texts = [serialize(g) for g in random_graphs(seed=9090, count=40)]
+    alphabet = "0123456789/.e-+_# \nabcEFLnv" + "corners weights boundary insert"
+    failed = 0
+    for trial in range(3000):
+        data = bytearray(rng.choice(texts).encode())
+        kind = trial % 3
+        if kind == 0:  # flip bytes
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        elif kind == 1:  # truncate
+            del data[rng.randrange(len(data)):]
+        else:  # random text over the format's own characters
+            data = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 80))).encode()
+        try:
+            parse(data.decode("utf-8", errors="replace"))
+        except FormatError:
+            failed += 1
+    assert failed > 1500
 
 
 # -- discrepancies -----------------------------------------------------------

@@ -188,6 +188,22 @@ def test_cy_search_enumerates_each_edge_once(monkeypatch):
         assert top_level == [1] * 6  # one pass per edge, allowing one step
 
 
+def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch):
+    """--jobs is clamped to the CPU count, so one CPU starts no pool at all."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("started a process pool")
+
+    config = SearchConfig((1, 2, 3, 5), max_blowups=10)
+    expected = cy_step_up_search(config).explored
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(searchmod, "ProcessPoolExecutor", NoPool)
+    huge = cy_step_up_search(SearchConfig((1, 2, 3, 5), max_blowups=10, jobs=10**6))
+    assert huge.explored == expected
+    assert expected["assembled"] > 0
+
+
 def test_step_edge_patterns_have_one_heavy_leaf():
     pats = step_edge_enumerate(1, 2, 11, 12)
     assert pats
