@@ -129,18 +129,12 @@ def volume(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
     Computed through adjunction alone: K^2 = 9 - blowups and
     K.E = mark - 2 for every visible curve.
     """
-    k2 = Fraction(9 - graph.blowups)
-    k_dot_delta = sum(
+    vol = Fraction(9 - graph.blowups) + sum(
         (b[v] * (graph.mark(v) - 2) for v in graph.blacks()), Fraction(0)
     )
     if graph.boundary is None:
-        return k2 + k_dot_delta
-    bd = graph.boundary
-    k_dot_delta += graph.mark(bd) - 2
-    excess = Fraction(-2) + sum(
-        (b[v] for v in graph.blacks() if graph.adjacent(v, bd)), Fraction(0)
-    )
-    return k2 + k_dot_delta + excess
+        return vol
+    return vol + graph.mark(graph.boundary) - 2 + epsilon1(graph, b)
 
 
 def volume_lattice(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
@@ -181,17 +175,15 @@ def classify_near_cy(graph: "VisibleGraph") -> NearCY:
     boundary_unit: every white has weight n and the boundary weight is 1.
     """
     n = graph.total_weight
-    whites = graph.whites()
-    at_n = [v for v in whites if graph.weight(v) == n]
-    step = n + 1
-    stepped = [v for v in whites if graph.weight(v) == step]
-    all_cy = len(at_n) == len(whites)
-    one_step = len(stepped) == 1 and len(at_n) == len(whites) - 1
+    # the whites off weight n, each weighed once
+    off = [(v, w) for v in graph.whites() if (w := graph.weight(v)) != n]
+    all_cy = not off
+    one_step = len(off) == 1 and off[0][1] == n + 1
     if graph.boundary is None:
         if all_cy:
             return NearCY("all_cy")
         if one_step:
-            return NearCY("one_step", stepped[0])
+            return NearCY("one_step", off[0][0])
         return NearCY("general")
     w0 = graph.weight(graph.boundary)
     if all_cy and w0 == 1:
@@ -199,7 +191,7 @@ def classify_near_cy(graph: "VisibleGraph") -> NearCY:
     if all_cy and w0 == 0:
         return NearCY("all_cy")
     if one_step and w0 == 0:
-        return NearCY("one_step", stepped[0])
+        return NearCY("one_step", off[0][0])
     return NearCY("general")
 
 
@@ -209,7 +201,7 @@ def epsilon1(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
     if bd is None:
         raise ValueError("graph has no boundary")
     return Fraction(-2) + sum(
-        (b[v] for v in graph.blacks() if graph.adjacent(v, bd)), Fraction(0)
+        (b[v] for v in graph.neighbors(bd) if graph.mark(v) >= 2), Fraction(0)
     )
 
 
@@ -230,33 +222,28 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
     if weights is not None:
         graph = graph.reweighted(weights)
 
-    reasons: list[str] = []
     near = classify_near_cy(graph)
     blowups = graph.blowups
+    rho = 1 + blowups - len(graph.blacks())
 
-    for v in graph.vertices:
-        if v != graph.boundary and graph.mark(v) <= 0:
-            reasons.append(f"non-boundary vertex {v} has mark {graph.mark(v)} <= 0")
+    reasons = [
+        f"non-boundary vertex {v} has mark {graph.mark(v)} <= 0"
+        for v in graph.vertices
+        if v != graph.boundary and graph.mark(v) <= 0
+    ]
+    if not reasons:
+        try:
+            chain_list = singularities.chains(graph)
+        except NotChainError as exc:
+            reasons = [str(exc)]
     if reasons:
         return SurfaceReport(
-            volume=Fraction(0), rho=1 + blowups - len(graph.blacks()),
-            blowups=blowups, singularities=[], epsilon1=None, delta1=None,
-            status=NOT_CERTIFIED, near_cy=near, reasons=reasons,
-        )
-
-    try:
-        chain_list = singularities.chains(graph)
-    except NotChainError as exc:
-        return SurfaceReport(
-            volume=Fraction(0), rho=1 + blowups - len(graph.blacks()),
-            blowups=blowups, singularities=[], epsilon1=None, delta1=None,
-            status=NOT_CERTIFIED, near_cy=near, reasons=[str(exc)],
+            volume=Fraction(0), rho=rho, blowups=blowups, singularities=[],
+            epsilon1=None, delta1=None, status=NOT_CERTIFIED, near_cy=near,
+            reasons=reasons,
         )
 
     b = singularities.solve_discrepancies(graph, chain_list)
-    sing = [(chain, chain.determinant()) for chain in chain_list]
-    rho = 1 + blowups - len(b)
-
     log_canonical_only = False
     for v, bv in b.items():
         if bv > 1:
@@ -268,37 +255,31 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
 
     vol = volume(graph, b)
     eps = epsilon1(graph, b) if graph.boundary is not None else None
-    dlt = delta1(graph, near)
 
     if not reasons:
         kcs = {v: kc_degree(graph, b, v) for v in graph.whites()}
         for v, kc in kcs.items():
             if kc < 0:
                 reasons.append(f"white {v} has negative canonical degree {kc}")
-        if graph.boundary is not None and eps is not None and eps <= 0:
+        if eps is not None and eps <= 0:
             reasons.append(f"boundary excess {eps} is not positive")
         if vol <= 0:
             reasons.append(f"volume {vol} is not positive")
         reasons.extend(check_weights(graph, strict=False))
 
-        if not reasons:
-            strict_fail = list(check_weights(graph, strict=True))
-            strict_fail.extend(
-                f"white {v} has canonical degree 0" for v, kc in kcs.items() if kc == 0
-            )
-            if log_canonical_only:
-                strict_fail.append("a discrepancy equals 1 (log canonical only)")
-            status = AMPLE if not strict_fail else BIG_NEF
-            return SurfaceReport(
-                volume=vol, rho=rho, blowups=blowups, singularities=sing,
-                epsilon1=eps, delta1=dlt, status=status, near_cy=near,
-                reasons=[] if status == AMPLE else strict_fail,
-                log_canonical_only=log_canonical_only,
-            )
+    status = NOT_CERTIFIED
+    if not reasons:
+        # certified; the strict failures, if any, are why it is not ample
+        reasons = check_weights(graph, strict=True)
+        reasons.extend(f"white {v} has canonical degree 0" for v, kc in kcs.items() if kc == 0)
+        if log_canonical_only:
+            reasons.append("a discrepancy equals 1 (log canonical only)")
+        status = BIG_NEF if reasons else AMPLE
 
     return SurfaceReport(
-        volume=vol, rho=rho, blowups=blowups, singularities=sing,
-        epsilon1=eps, delta1=dlt, status=NOT_CERTIFIED, near_cy=near,
+        volume=vol, rho=rho, blowups=blowups,
+        singularities=[(chain, chain.determinant()) for chain in chain_list],
+        epsilon1=eps, delta1=delta1(graph, near), status=status, near_cy=near,
         reasons=reasons, log_canonical_only=log_canonical_only,
     )
 

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-blowups", type=int, required=True, help="insertion budget")
     p.add_argument("--mode", choices=sorted(_MODES), default="cy", help="search mode (default cy)")
     p.add_argument("--rho", type=int, default=None, help="restrict to this Picard rank")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the cy mode (default 1)")
     p.add_argument("--out", default=None, help="directory for the best graphs and reports")
     p.set_defaults(func=_cmd_search)
 

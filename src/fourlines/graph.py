@@ -325,8 +325,8 @@ class VisibleGraph:
             chains[edge].append(v)
         out = {}
         for pair, vs in chains.items():
-            vs.sort(key=lambda v: Fraction(self._frac[v][1], self._frac[v][0])
-                    if self._frac[v][0] else Fraction(10**9))
+            # interior pairs are mediants of (1, 0) and (0, 1): m1, m2 >= 1
+            vs.sort(key=lambda v: Fraction(self._frac[v][1], self._frac[v][0]))
             out[pair] = tuple(vs)
         return out
 

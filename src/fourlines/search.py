@@ -12,10 +12,11 @@ smallest volume reproduces the record hunts at desk scale.  A CY search
 enumerates each edge once, allowing one step, and splits that pass into
 the edge's CY and one-step lists.
 
-Both modes may fan out over worker processes.  Work is split into
-disjoint task blocks whose results merge as plain set unions keyed by
-canonical form, so the output is identical for every worker count.  The
-CY tables are built once per search and handed to every worker.
+The generic mode is one depth-first walk in one process.  The CY mode
+may fan out over worker processes: work is split into disjoint task
+blocks whose results merge as plain set unions keyed by canonical form,
+so the output is identical for every worker count.  The CY tables are
+built once per search and handed to every worker.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .certify import SurfaceReport, certify
-from .graph import (
-    EDGE_PAIRS,
-    VisibleGraph,
-    _stern_brocot_parents,
-    new_base,
-    parse,
-    serialize,
-)
+from .graph import EDGE_PAIRS, VisibleGraph, new_base, parse, serialize
 
 __all__ = [
     "GENERIC",
@@ -191,15 +185,12 @@ def step_edge_enumerate(
 
 
 def _corner_touches(pattern: Pattern) -> tuple[int, int]:
-    """How often the two edge corners appear as insertion parents."""
-    lo = hi = 0
-    for m1, m2 in pattern:
-        for p in _stern_brocot_parents(m1, m2):
-            if p == (1, 0):
-                lo += 1
-            elif p == (0, 1):
-                hi += 1
-    return lo, hi
+    """How often the two edge corners appear as insertion parents.
+
+    The corner (1, 0) is a creation parent of exactly the pairs (k, 1),
+    and the corner (0, 1) of exactly the pairs (1, k).
+    """
+    return sum(m2 == 1 for _, m2 in pattern), sum(m1 == 1 for m1, _ in pattern)
 
 
 # -- shared bookkeeping --------------------------------------------------
@@ -290,57 +281,36 @@ def _mark_deficit(graph: VisibleGraph, n: Fraction) -> int:
     return need
 
 
-def _generic_worker(args) -> tuple[set[str], dict[str, Payload]]:
-    config, moves = args
-    base = new_base(config.weights, boundary=config.boundary_index)
-    n = config.total_weight
-    budget = config.max_blowups
-    seen: set[str] = set()
-    certified: dict[str, Payload] = {}
-    for a, b in moves:
-        g0 = base.insert(a, b, "n0")
-        f0 = g0.canonical_form()
-        if f0 in seen:
-            continue
-        seen.add(f0)
-        _record(g0, f0, certified)
-        stack = [g0]
-        while stack:
-            g = stack.pop()
-            remaining = budget - g.blowups
-            if remaining <= 0 or _mark_deficit(g, n) > 2 * remaining:
-                continue
-            for a2, b2 in g.adjacent_pairs():
-                h = g.insert(a2, b2, f"n{g.blowups}")
-                fh = h.canonical_form()
-                if fh in seen:
-                    continue
-                seen.add(fh)
-                _record(h, fh, certified)
-                stack.append(h)
-    return seen, certified
-
-
 def generic_search(config: SearchConfig) -> SearchResult:
-    """Exhaustive insertion-tree search modulo canonical-form dedup."""
+    """Exhaustive insertion-tree search modulo canonical-form dedup.
+
+    One depth-first walk with one ``seen`` set; ``config.jobs`` has no
+    effect.  Pruning and the children of a graph depend only on its
+    canonical form, so the forms reached do not depend on walk order.
+    """
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
     base = new_base(config.weights, boundary=config.boundary_index)
     n = config.total_weight
-    seen = {base.canonical_form()}
+    budget = config.max_blowups
+    form = base.canonical_form()
+    seen = {form}
     certified: dict[str, Payload] = {}
-    _record(base, base.canonical_form(), certified)
-    moves = []
-    if config.max_blowups >= 1 and _mark_deficit(base, n) <= 2 * config.max_blowups:
-        root_forms = set()
-        for a, b in base.adjacent_pairs():
-            f = base.insert(a, b, "n0").canonical_form()
-            if f not in root_forms:
-                root_forms.add(f)
-                moves.append((a, b))
-    sub_seen, sub_certified = _run_tasks(_generic_worker, config, moves, config.jobs)
-    seen |= sub_seen
-    certified.update(sub_certified)
+    _record(base, form, certified)
+    stack = [base]
+    while stack:
+        g = stack.pop()
+        remaining = budget - g.blowups
+        if remaining <= 0 or _mark_deficit(g, n) > 2 * remaining:
+            continue
+        for a, b in g.adjacent_pairs():
+            h = g.insert(a, b, f"n{g.blowups}")
+            fh = h.canonical_form()
+            if fh in seen:
+                continue
+            seen.add(fh)
+            _record(h, fh, certified)
+            stack.append(h)
     best, eligible = _select_best(certified, config.rho_filter)
     return SearchResult(
         best=best,

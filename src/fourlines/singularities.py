@@ -111,7 +111,7 @@ def _order_component(
         return tuple(sorted(comp, key=rank.__getitem__))
     ends = sorted((v for v in comp if len(links[v]) <= 1), key=rank.__getitem__)
     if not ends:
-        # a cycle; impossible in a subdivided K4's interior but kept safe
+        # a cycle, e.g. three black corners joined by bare edges
         return tuple(sorted(comp, key=rank.__getitem__))
     path = [ends[0]]
     prev = None

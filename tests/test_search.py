@@ -204,6 +204,36 @@ def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch):
     assert expected["assembled"] > 0
 
 
+def test_generic_search_starts_no_pool(monkeypatch):
+    """The generic walk runs in one process whatever --jobs says."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("started a process pool")
+
+    kwargs = dict(weights=(0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic")
+    expected = result_snapshot(generic_search(SearchConfig(jobs=1, **kwargs)))
+    monkeypatch.setattr(searchmod, "ProcessPoolExecutor", NoPool)
+    assert result_snapshot(generic_search(SearchConfig(jobs=4, **kwargs))) == expected
+    assert expected[1]["certified"] > 0
+
+
+def test_corner_touches_match_parent_walk():
+    """The closed form counts what walking every pair's parents counts."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        path = [(1, 0), (0, 1)]  # an edge path from corner (1, 0) to (0, 1)
+        pattern = []
+        for _ in range(rng.randint(0, 12)):
+            k = rng.randrange(len(path) - 1)
+            (a1, a2), (b1, b2) = path[k], path[k + 1]
+            path.insert(k + 1, (a1 + b1, a2 + b2))
+            pattern.append(path[k + 1])
+        parents = [p for m in pattern for p in _stern_brocot_parents(*m)]
+        expected = (parents.count((1, 0)), parents.count((0, 1)))
+        assert searchmod._corner_touches(tuple(pattern)) == expected
+
+
 def test_step_edge_patterns_have_one_heavy_leaf():
     pats = step_edge_enumerate(1, 2, 11, 12)
     assert pats

@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from fourlines import graph as graphmod
-from fourlines.graph import new_base
+from fourlines.certify import certify
+from fourlines.graph import VisibleGraph, new_base
 from fourlines.singularities import (
     Chain,
     NotChainError,
@@ -140,10 +141,22 @@ def test_check_log_terminal_detects_star():
     assert g.mark("a") == 2
     assert g.mark("p3") == 2
     verdict = check_log_terminal(g)
-    assert verdict is not None
-    assert "chain" in verdict or "path" in verdict
+    assert verdict == "black component ('a', 'c', 'd', 'p3') is not a chain (branch vertex present)"
     with pytest.raises(NotChainError):
         solve_discrepancies(g)
+
+
+def test_check_log_terminal_detects_black_cycle():
+    """Three black corners joined by bare edges form a black triangle."""
+    heavy = ((1, 1), (2, 1), (3, 1))  # touches the first corner three times
+    g = VisibleGraph.from_edge_content(
+        ("A", "B", "C", "D"), (1, 1, 1, 1), "D", {e: heavy for e in ((0, 3), (1, 3), (2, 3))}
+    )
+    assert [g.mark(c) for c in "ABC"] == [2, 2, 2]
+    assert black_components(g)[0] == ("A", "B", "C")
+    verdict = check_log_terminal(g)
+    assert verdict == "black component ('A', 'B', 'C') is not a simple path"
+    assert certify(g).reasons == [verdict]
 
 
 def test_check_log_terminal_ok_on_fixtures(load_graph):
