@@ -152,9 +152,7 @@ def check_weights(graph: "VisibleGraph", strict: bool = False) -> list[str]:
     """
     n = graph.total_weight
     violations = []
-    for v in graph.vertices:
-        if graph.color(v) != "white":
-            continue
+    for v in graph.whites():
         w = graph.weight(v)
         if w < n or (strict and w == n):
             op = ">" if strict else ">="
@@ -292,9 +290,7 @@ def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fracti
     of infeasibility within the stated constraint system.
     """
     mults = []
-    for v in graph.vertices:
-        if graph.color(v) != "white":
-            continue
+    for v in graph.whites():
         if graph.is_corner(v):
             m = [0, 0, 0, 0]
             m[graph.corners.index(v)] = 1

@@ -16,6 +16,10 @@ a and b equals m1*w(a) + m2*w(b) and the pair is always coprime.  The
 pair is the Stern-Brocot coordinate of the vertex inside its edge, and
 it determines the creation parents of the vertex uniquely.
 
+A graph's one identity is ``canonical_key``, a function of the corner
+weights, the boundary and the edge content alone: a search deduplicates
+before it builds, and ``VisibleGraph.from_canonical_key`` builds a key.
+
 An insertion changes only its own edge and that edge's two corners, so
 a graph built from edge content is merged from six per-edge pieces cached
 on the edge's corner ids and pairs: a search that assembles thousands of
@@ -39,6 +43,7 @@ __all__ = [
     "Insertion",
     "VisibleGraph",
     "EDGE_PAIRS",
+    "canonical_key",
     "WHITE",
     "BLACK",
     "BOUNDARY",
@@ -208,8 +213,6 @@ class VisibleGraph:
         """Publish the insertion order once the last insertion is applied."""
         self.history: tuple[Insertion, ...] = tuple(self._history)
         self.vertices: tuple[str, ...] = tuple(self._vertices)
-        self._key = None
-        self._canon = None
 
     def _frac_on(self, v: str, edge: tuple[int, int]) -> tuple[int, int]:
         if v in self._frac:
@@ -361,40 +364,11 @@ class VisibleGraph:
         content: dict[tuple[int, int], list] = {pair: [] for pair in EDGE_PAIRS}
         for v, edge in self._edge.items():
             content[edge].append(self._frac[v])
-        for pair in content:
-            content[pair].sort(key=_creation_order)
         return content
 
-    def _canonical_key(self) -> tuple[tuple, tuple]:
-        """Least (corner key, edge key) over the corner relabelings.
-
-        A relabeling lists the four (weight, boundary flag) corner keys
-        and, edge by edge, the sorted multiplicity pairs seen from its
-        first corner.  The corner key is compared first, so only the
-        relabelings that list the corner keys in sorted order can reach
-        the minimum; with four distinct corner keys that is one of the 24.
-        """
-        if self._key is None:
-            content = self._edge_content()
-            corner_key = tuple(
-                (w.numerator, w.denominator, self.boundary == c)
-                for c, w in zip(self.corners, self.initial_weights)
-            )
-            best = None
-            for perm in _sorting_relabelings(corner_key):
-                edges_key = []
-                for i, j in EDGE_PAIRS:
-                    a, b = perm[i], perm[j]
-                    if a < b:
-                        edges_key.append(tuple(content[(a, b)]))
-                    else:
-                        flipped = [(m2, m1) for m1, m2 in content[(b, a)]]
-                        edges_key.append(tuple(sorted(flipped, key=_creation_order)))
-                edges_key = tuple(edges_key)
-                if best is None or edges_key < best:
-                    best = edges_key
-            self._key = (tuple(sorted(corner_key)), best)
-        return self._key
+    def canonical_key(self) -> tuple[tuple, tuple]:
+        """``canonical_key`` of this graph's weights, boundary and edge content."""
+        return canonical_key(self.initial_weights, self._cindex.get(self.boundary), self._edge_content())
 
     def canonical_form(self) -> str:
         """Label-independent encoding, minimized over corner relabelings.
@@ -402,25 +376,28 @@ class VisibleGraph:
         Two graphs have equal encodings exactly when a corner permutation
         preserving weights and the boundary flag carries one onto the
         other; the interleaving of insertions across different edges is
-        quotiented out as well.
+        quotiented out as well.  It is the ``repr`` of ``canonical_key``.
         """
-        if self._canon is None:
-            self._canon = repr(self._canonical_key())
-        return self._canon
+        return repr(self.canonical_key())
 
-    def normalized(self) -> "VisibleGraph":
-        """Isomorphic graph with deterministic ids and insertion order.
+    @classmethod
+    def from_canonical_key(cls, key: tuple[tuple, tuple]) -> "VisibleGraph":
+        """The graph with corners C0..C3 that ``key`` describes.
 
-        Graphs with equal canonical form normalize to identical objects,
-        which keeps search output independent of discovery order.
+        Graphs with equal keys give identical objects, which keeps search
+        output independent of discovery order.
         """
-        corner_key, edges_key = self._canonical_key()
+        corner_key, edges_key = key
         corners = ("C0", "C1", "C2", "C3")
         weights = [Fraction(num, den) for num, den, _ in corner_key]
         flagged = [c for c, (_, _, flag) in zip(corners, corner_key) if flag]
-        return VisibleGraph.from_edge_content(
+        return cls.from_edge_content(
             corners, weights, flagged[0] if flagged else None, dict(zip(EDGE_PAIRS, edges_key))
         )
+
+    def normalized(self) -> "VisibleGraph":
+        """Isomorphic graph with deterministic ids and insertion order."""
+        return self.from_canonical_key(self.canonical_key())
 
     # -- equality (structural, id-sensitive) ------------------------------
 
@@ -449,11 +426,47 @@ def _creation_order(pair: tuple[int, int]) -> tuple[int, int]:
     return (pair[0] + pair[1], pair[0])
 
 
+def canonical_key(
+    weights: Sequence[Rational],
+    boundary_index: Optional[int],
+    content: Mapping[tuple[int, int], Sequence[tuple[int, int]]],
+) -> tuple[tuple, tuple]:
+    """Least (corner key, edge key) over the corner relabelings.
+
+    ``content`` maps pairs from EDGE_PAIRS to the multiplicity pairs on
+    that edge, in any order; a missing pair means a bare edge.  A
+    relabeling lists the four (weight, boundary flag) corner keys and,
+    edge by edge, the multiplicity pairs seen from its first corner in
+    creation order.  The corner key is compared first, so only the
+    relabelings that list the corner keys in sorted order can reach the
+    minimum; with four distinct corner keys that is one of the 24.
+    """
+    least, relabelings = _sorting_relabelings(tuple(
+        (w.numerator, w.denominator, i == boundary_index) for i, w in enumerate(weights)
+    ))
+    ordered = {pair: tuple(sorted(content.get(pair, ()), key=_creation_order)) for pair in EDGE_PAIRS}
+    best = None
+    for perm in relabelings:
+        edges_key = []
+        for i, j in EDGE_PAIRS:
+            a, b = perm[i], perm[j]
+            if a < b:
+                edges_key.append(ordered[(a, b)])
+            else:
+                flipped = [(m2, m1) for m1, m2 in ordered[(b, a)]]
+                edges_key.append(tuple(sorted(flipped, key=_creation_order)))
+        edges_key = tuple(edges_key)
+        if best is None or edges_key < best:
+            best = edges_key
+    return least, best
+
+
 @lru_cache(maxsize=1024)
-def _sorting_relabelings(corner_key: tuple) -> tuple[tuple[int, ...], ...]:
-    """Corner permutations ``perm`` with corner_key[perm[i]] in sorted order."""
-    least = sorted(corner_key)
-    return tuple(
+def _sorting_relabelings(corner_key: tuple) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The sorted corner key, which every key of a search then shares,
+    and the corner permutations ``perm`` with corner_key[perm[i]] in it."""
+    least = tuple(sorted(corner_key))
+    return least, tuple(
         perm for perm in permutations(range(4))
         if all(corner_key[perm[i]] == least[i] for i in range(4))
     )

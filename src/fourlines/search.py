@@ -1,7 +1,7 @@
 """Search for minimal-volume certified surfaces over four weighted lines.
 
 Two modes.  The generic mode walks the full insertion tree up to a
-budget, deduplicating by canonical form; it is exhaustive, slow, and
+budget, deduplicating by canonical key; it is exhaustive, slow, and
 serves as the correctness oracle at small scale.  The CY mode builds
 final configurations edge by edge: every edge carries an insertion
 pattern whose final whites weigh exactly the total weight n (a "CY
@@ -12,9 +12,13 @@ smallest volume reproduces the record hunts at desk scale.  A CY search
 enumerates each edge once, allowing one step, and splits that pass into
 the edge's CY and one-step lists.
 
+A form's one identity is its ``graph.canonical_key`` tuple, computed from
+the weights, the boundary and the edge content.  The CY scan deduplicates
+on it before it builds a graph; the winners are built from their keys.
+
 The generic mode is one depth-first walk in one process.  The CY mode
 may fan out over worker processes: work is split into disjoint task
-blocks whose results merge as plain set unions keyed by canonical form,
+blocks whose results merge as plain set unions keyed by canonical key,
 so the output is identical for every worker count.  The CY tables are
 built once per search and handed to every worker.
 """
@@ -28,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .certify import SurfaceReport, certify
-from .graph import EDGE_PAIRS, VisibleGraph, new_base, parse, serialize
+from .graph import EDGE_PAIRS, VisibleGraph, canonical_key, new_base
 
 __all__ = [
     "GENERIC",
@@ -195,41 +199,35 @@ def _corner_touches(pattern: Pattern) -> tuple[int, int]:
 
 # -- shared bookkeeping --------------------------------------------------
 
-# payload per certified canonical form: volume numerator/denominator,
-# Picard rank, and the serialized normalized representative
-Payload = tuple[int, int, int, str]
+# a form's one identity is its canonical key; a certified form maps to
+# its volume and Picard rank
+Key = tuple[tuple, tuple]
+Certified = dict[Key, tuple[Fraction, int]]
 
 
-def _record(graph: VisibleGraph, form: str, certified: dict[str, Payload]) -> None:
+def _record(graph: VisibleGraph, key: Key, certified: Certified) -> None:
     report = certify(graph)
-    if not report.certified:
-        return
-    normal = graph.normalized()
-    certified[form] = (
-        report.volume.numerator,
-        report.volume.denominator,
-        report.rho,
-        serialize(normal),
-    )
+    if report.certified:
+        certified[key] = (report.volume, report.rho)
 
 
 def _select_best(
-    certified: dict[str, Payload], rho_filter: Optional[int]
+    certified: Certified, rho_filter: Optional[int]
 ) -> tuple[list[tuple[VisibleGraph, SurfaceReport]], int]:
+    """The least-volume forms, built from their keys in ``repr`` order:
+    the order of their ``canonical_form``, which numbers ``--out`` files."""
     eligible = {
-        form: payload
-        for form, payload in certified.items()
-        if rho_filter is None or payload[2] == rho_filter
+        key: vol
+        for key, (vol, rho) in certified.items()
+        if rho_filter is None or rho == rho_filter
     }
     if not eligible:
         return [], 0
-    vmin = min(Fraction(p[0], p[1]) for p in eligible.values())
-    winners = sorted(
-        form for form, p in eligible.items() if Fraction(p[0], p[1]) == vmin
-    )
+    vmin = min(eligible.values())
+    winners = sorted((key for key, vol in eligible.items() if vol == vmin), key=repr)
     best = []
-    for form in winners:
-        g = parse(eligible[form][3])
+    for key in winners:
+        g = VisibleGraph.from_canonical_key(key)
         best.append((g, certify(g)))
     return best, len(eligible)
 
@@ -242,8 +240,8 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
     what makes the result worker-count independent.  The pool never has
     more workers than tasks or CPUs.
     """
-    seen: set[str] = set()
-    certified: dict[str, Payload] = {}
+    seen: set[Key] = set()
+    certified: Certified = {}
     jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
     if jobs == 1:
         chunks = [tasks] if tasks else []
@@ -282,21 +280,21 @@ def _mark_deficit(graph: VisibleGraph, n: Fraction) -> int:
 
 
 def generic_search(config: SearchConfig) -> SearchResult:
-    """Exhaustive insertion-tree search modulo canonical-form dedup.
+    """Exhaustive insertion-tree search modulo canonical-key dedup.
 
     One depth-first walk with one ``seen`` set; ``config.jobs`` has no
     effect.  Pruning and the children of a graph depend only on its
-    canonical form, so the forms reached do not depend on walk order.
+    canonical key, so the forms reached do not depend on walk order.
     """
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
     base = new_base(config.weights, boundary=config.boundary_index)
     n = config.total_weight
     budget = config.max_blowups
-    form = base.canonical_form()
-    seen = {form}
-    certified: dict[str, Payload] = {}
-    _record(base, form, certified)
+    key = base.canonical_key()
+    seen = {key}
+    certified: Certified = {}
+    _record(base, key, certified)
     stack = [base]
     while stack:
         g = stack.pop()
@@ -305,11 +303,11 @@ def generic_search(config: SearchConfig) -> SearchResult:
             continue
         for a, b in g.adjacent_pairs():
             h = g.insert(a, b, f"n{g.blowups}")
-            fh = h.canonical_form()
-            if fh in seen:
+            key = h.canonical_key()
+            if key in seen:
                 continue
-            seen.add(fh)
-            _record(h, fh, certified)
+            seen.add(key)
+            _record(h, key, certified)
             stack.append(h)
     best, eligible = _select_best(certified, config.rho_filter)
     return SearchResult(
@@ -354,15 +352,15 @@ def _cy_case(config: SearchConfig) -> int:
     return 2
 
 
-def _cy_worker(args) -> tuple[set[str], dict[str, Payload]]:
+def _cy_worker(args) -> tuple[set[Key], Certified]:
     (config, cy, step, touches), tasks = args
     weights = config.weights
     n = config.total_weight
     budget = config.max_blowups
     b_index = config.boundary_index
     bd = None if b_index is None else _CORNERS[b_index]
-    seen: set[str] = set()
-    certified: dict[str, Payload] = {}
+    seen: set[Key] = set()
+    certified: Certified = {}
 
     def corner_ok(counts) -> bool:
         for c in range(4):
@@ -378,12 +376,11 @@ def _cy_worker(args) -> tuple[set[str], dict[str, Payload]]:
     def finish(patterns: dict[Pair, Pattern], counts) -> None:
         if not corner_ok(counts):
             return
-        g = VisibleGraph.from_edge_content(_CORNERS, weights, bd, patterns)
-        form = g.canonical_form()
-        if form in seen:
+        key = canonical_key(weights, b_index, patterns)
+        if key in seen:
             return
-        seen.add(form)
-        _record(g, form, certified)
+        seen.add(key)
+        _record(VisibleGraph.from_edge_content(_CORNERS, weights, bd, patterns), key, certified)
 
     def scan(free: list[Pair], k: int, patterns, counts, left: int) -> None:
         if k == len(free):

@@ -79,6 +79,11 @@ def black_components(graph: "VisibleGraph") -> list[tuple[str, ...]]:
     component's vertices come out in traversal order from its lowest
     endpoint, so output is deterministic.
     """
+    return [comp for comp, _ in _components(graph)]
+
+
+def _components(graph: "VisibleGraph") -> list[tuple[tuple[str, ...], Optional[str]]]:
+    """Black components as in ``black_components``, each with its chain verdict."""
     blacks = graph.blacks()
     # creation rank among the blacks, which doubles as the black set
     rank = {v: i for i, v in enumerate(blacks)}
@@ -102,56 +107,39 @@ def black_components(graph: "VisibleGraph") -> list[tuple[str, ...]]:
 
 def _order_component(
     comp: set[str], links: dict[str, list[str]], rank: dict[str, int]
-) -> tuple[str, ...]:
-    """Path order when the component is a path, else creation order.
+) -> tuple[tuple[str, ...], Optional[str]]:
+    """Path order and None for a path; creation order and the reason it
+    is no chain for a branch or a cycle.
 
     ``links`` holds the black neighbours of every black vertex.
     """
     if any(len(links[v]) > 2 for v in comp):
-        return tuple(sorted(comp, key=rank.__getitem__))
+        ordered = tuple(sorted(comp, key=rank.__getitem__))
+        return ordered, f"black component {ordered} is not a chain (branch vertex present)"
     ends = sorted((v for v in comp if len(links[v]) <= 1), key=rank.__getitem__)
     if not ends:
         # a cycle, e.g. three black corners joined by bare edges
-        return tuple(sorted(comp, key=rank.__getitem__))
+        ordered = tuple(sorted(comp, key=rank.__getitem__))
+        return ordered, f"black component {ordered} is not a simple path"
+    # a connected component with an end and no branch is a path: walk it
     path = [ends[0]]
-    prev = None
-    while True:
-        nxt = [w for w in links[path[-1]] if w != prev]
-        if not nxt:
-            break
-        prev = path[-1]
-        path.append(nxt[0])
-    return tuple(path)
-
-
-def _chain_verdict(graph: "VisibleGraph", comp: tuple[str, ...]) -> str | None:
-    """None when the black component is a simple path, else a description."""
-    comp_set = set(comp)
-    degrees = [sum(1 for w in graph.neighbors(v) if w in comp_set) for v in comp]
-    if any(d > 2 for d in degrees):
-        return f"black component {comp} is not a chain (branch vertex present)"
-    if len(comp) > 1 and degrees.count(1) != 2:
-        return f"black component {comp} is not a simple path"
-    return None
+    while len(path) < len(comp):
+        path.append(next(w for w in links[path[-1]] if w not in path[-2:]))
+    return tuple(path), None
 
 
 def check_log_terminal(graph: "VisibleGraph") -> str | None:
     """None when every black component is a chain, else a description."""
-    try:
-        chains(graph)
-    except NotChainError as exc:
-        return str(exc)
-    return None
+    return next((verdict for _, verdict in _components(graph) if verdict), None)
 
 
 def chains(graph: "VisibleGraph") -> list[Chain]:
     """Black components as Chain values; raises when one is not a path."""
-    components = black_components(graph)
-    for comp in components:
-        verdict = _chain_verdict(graph, comp)
+    components = _components(graph)
+    for _, verdict in components:
         if verdict is not None:
             raise NotChainError(verdict)
-    return [Chain(comp, tuple(graph.mark(v) for v in comp)) for comp in components]
+    return [Chain(comp, tuple(graph.mark(v) for v in comp)) for comp, _ in components]
 
 
 def solve_discrepancies(

@@ -70,6 +70,19 @@ def test_discrepancy_residual_check_survives_python_O():
     assert proc.stdout.split() == ["raised", "1"]
 
 
+def test_search_out_files_identical_under_python_O(capsys, tmp_path):
+    """The key-based search writes the same --out files with asserts stripped."""
+    argv = ["search", "--weights", "1,2,3,5", "--boundary", "--max-blowups", "12", "--out"]
+    assert run(capsys, *argv, str(tmp_path / "plain"))[0] == 0
+    proc = run_optimized("-m", "fourlines.cli", *argv, str(tmp_path / "optimized"))
+    assert proc.returncode == 0, proc.stderr
+    plain, optimized = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("plain", "optimized")
+    )
+    assert len(plain) >= 4
+    assert optimized == plain
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run(capsys, "verify", "--json", fixture_path("p48983"))
     assert code == 0

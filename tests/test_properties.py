@@ -24,6 +24,7 @@ from fourlines.graph import (
     GraphError,
     VisibleGraph,
     _stern_brocot_parents,
+    canonical_key,
     new_base,
     parse,
     serialize,
@@ -137,6 +138,24 @@ def test_pruned_key_after_corner_relabeling():
             rename.setdefault(ins.new_id, ins.new_id)
             h = h.insert(rename[ins.left_id], rename[ins.right_id], ins.new_id)
         assert h.canonical_form() == g.canonical_form() == reference_key(h)
+
+
+def test_key_from_edge_content_equals_graph_key():
+    """``canonical_key`` needs only weights, boundary and content, in any order."""
+    rng = random.Random(5150)
+    repeated = 0
+    for g in random_graphs(seed=5151, count=400):
+        content = {}
+        for pair, pairs in edge_content(g).items():
+            if pairs:  # a missing pair is a bare edge
+                content[pair] = rng.sample(pairs, len(pairs))
+        boundary_index = None if g.boundary is None else g.corners.index(g.boundary)
+        key = canonical_key(g.initial_weights, boundary_index, content)
+        assert key == g.canonical_key()
+        assert repr(key) == reference_key(g)
+        assert VisibleGraph.from_canonical_key(key) == g.normalized()
+        repeated += len(set(g.initial_weights)) < 4
+    assert repeated > 200
 
 
 # -- builders ----------------------------------------------------------------

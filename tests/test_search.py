@@ -10,7 +10,7 @@ import pytest
 
 from fourlines import search as searchmod
 from fourlines.certify import certify
-from fourlines.graph import EDGE_PAIRS, _stern_brocot_parents, new_base, parse, serialize
+from fourlines.graph import EDGE_PAIRS, VisibleGraph, _stern_brocot_parents, new_base, parse, serialize
 from fourlines.search import (
     SearchConfig,
     cy_edge_enumerate,
@@ -21,19 +21,36 @@ from fourlines.search import (
 )
 
 
+def labelled_content(g):
+    """The multiplicity pairs on each edge, read vertex by vertex, unpermuted."""
+    content = {pair: [] for pair in EDGE_PAIRS}
+    for v in g.vertices:
+        if not g.is_corner(v):
+            content[g.edge_of(v)].append(g.fraction(v))
+    return tuple(tuple(sorted(content[pair])) for pair in EDGE_PAIRS)
+
+
 def brute_force(weights, boundary, budget):
-    """Certify every insertion sequence up to the budget, no dedup.
+    """Certify every graph some insertion sequence up to the budget reaches.
 
     Returns (minimal volume or None, set of certified canonical forms).
-    Deliberately naive; the only concession is skipping the certifier
-    on graphs that a dead mark already disqualifies.
+    Graphs of one base with equal labelled edge content are equal up to
+    vertex ids, and so are their subtrees and certificates; the walk
+    visits each content once.  That memo is independent of
+    ``canonical_form``, which only names the certified forms.  The
+    certifier is skipped on graphs that a dead mark already disqualifies.
     """
     base = new_base(weights, boundary=boundary)
     best = None
     forms = set()
+    visited = set()
     stack = [base]
     while stack:
         g = stack.pop()
+        content = labelled_content(g)
+        if content in visited:
+            continue
+        visited.add(content)
         if all(g.mark(v) >= 1 for v in g.vertices if v != g.boundary):
             rep = certify(g)
             if rep.certified:
@@ -372,6 +389,24 @@ def test_cy_search_rho_filter():
     plain = cy_step_up_search(SearchConfig(**kwargs))
     assert res.explored["certified"] == plain.explored["certified"]
     assert res.explored["eligible"] <= plain.explored["eligible"]
+
+
+def test_cy_search_builds_each_form_once(monkeypatch):
+    """Repeated weights give duplicate edge content; its key is found
+    before a graph is built, so the search builds each assembled form
+    and then each winner once."""
+    real = VisibleGraph.from_edge_content
+    built = []
+
+    def counting(cls, *args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(VisibleGraph, "from_edge_content", classmethod(counting))
+    res = cy_step_up_search(SearchConfig(weights=(1, 1, 2, 3), boundary=True, max_blowups=12))
+    assert res.best
+    assert len(built) == res.explored["assembled"] + len(res.best)
+    assert res.forms() == sorted(res.forms())
 
 
 def test_best_graphs_reserialize_identically():
