@@ -10,6 +10,12 @@ its degree on the boundary is the boundary excess, and bigness follows
 from a positive self-intersection (the volume).  The weight conditions
 give an independent sufficient nef test that is linear in the corner
 weights, which is what the searches and the ample-weight finder use.
+
+The sums run on integer numerators over the chain determinants
+(``singularities.discrepancy_numerators``); a Fraction is built only for
+a report field or a reason.  ``glue`` reaches certify's verdict on a
+graph given by edge content from cached per-edge summaries, without
+building the graph.
 """
 
 from __future__ import annotations
@@ -17,10 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from itertools import groupby
+from operator import mul
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
-from .singularities import Chain, NotChainError
+from .graph import EDGE_PAIRS
+from .singularities import Chain, Discrepancy, NotChainError
 
 if TYPE_CHECKING:
     from .graph import VisibleGraph
@@ -28,9 +38,12 @@ if TYPE_CHECKING:
 __all__ = [
     "AMPLE",
     "BIG_NEF",
+    "CHECKS",
     "NOT_CERTIFIED",
+    "EdgeSummary",
     "NearCY",
     "SurfaceReport",
+    "Verdict",
     "kc_degree",
     "volume",
     "volume_lattice",
@@ -39,6 +52,8 @@ __all__ = [
     "epsilon1",
     "delta1",
     "certify",
+    "edge_summary",
+    "glue",
     "find_ample_weights",
 ]
 
@@ -106,35 +121,61 @@ class SurfaceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _boundary_adjacent(graph: "VisibleGraph", v: str) -> bool:
-    return graph.boundary is not None and graph.adjacent(v, graph.boundary)
+#: a discrepancy map: each black vertex to its discrepancy, as a Fraction
+#: or as a Discrepancy (``singularities.discrepancy_numerators``)
+Discrepancies = Mapping[str, Union[Fraction, Discrepancy]]
 
 
-def kc_degree(graph: "VisibleGraph", b: Mapping[str, Fraction], white: str) -> Fraction:
+def _ratio_sum(terms: Iterable[tuple[int, int]], num: int = 0, den: int = 1) -> tuple[int, int]:
+    """num/den plus the (numerator, denominator) terms, as one unreduced pair.
+
+    Every denominator must be positive.  Terms over the running
+    denominator, such as the discrepancies of one chain, add without a
+    multiplication.
+    """
+    for n, d in terms:
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _kc_ratio(graph: "VisibleGraph", b: Discrepancies, white: str) -> tuple[int, int]:
+    """kc_degree as an unreduced pair."""
+    bd = graph.boundary
+    total = -1
+    terms = []
+    for u in graph.neighbors(white):
+        if u == bd:
+            total = 0
+        elif graph.mark(u) >= 2:
+            x = b[u]
+            terms.append((x.numerator, x.denominator))
+    return _ratio_sum(terms, total)
+
+
+def kc_degree(graph: "VisibleGraph", b: Discrepancies, white: str) -> Fraction:
     """Degree of the contracted (log) canonical divisor on a white curve."""
     if graph.color(white) != "white":
         raise ValueError(f"{white!r} is not a white vertex")
-    total = Fraction(-1)
-    if _boundary_adjacent(graph, white):
-        total += 1
-    for u in graph.neighbors(white):
-        if graph.color(u) == "black":
-            total += b[u]
-    return total
+    return Fraction(*_kc_ratio(graph, b, white))
 
 
-def volume(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
+def volume(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
     """Self-intersection of the contracted (log) canonical divisor.
 
     Computed through adjunction alone: K^2 = 9 - blowups and
-    K.E = mark - 2 for every visible curve.
+    K.E = mark - 2 for every visible curve.  ``b`` must hold exactly the
+    black vertices.
     """
-    vol = Fraction(9 - graph.blowups) + sum(
-        (b[v] * (graph.mark(v) - 2) for v in graph.blacks()), Fraction(0)
+    mark = graph.mark
+    num, den = _ratio_sum(
+        ((x.numerator * (mark(v) - 2), x.denominator) for v, x in b.items()), 9 - graph.blowups
     )
-    if graph.boundary is None:
-        return vol
-    return vol + graph.mark(graph.boundary) - 2 + epsilon1(graph, b)
+    if graph.boundary is not None:
+        num, den = _ratio_sum([_epsilon1_ratio(graph, b)], num + (mark(graph.boundary) - 2) * den, den)
+    return Fraction(num, den)
 
 
 def volume_lattice(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
@@ -193,14 +234,18 @@ def classify_near_cy(graph: "VisibleGraph") -> NearCY:
     return NearCY("general")
 
 
-def epsilon1(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
-    """Boundary excess: -2 plus the b_i over the boundary's black neighbours."""
+def _epsilon1_ratio(graph: "VisibleGraph", b: Discrepancies) -> tuple[int, int]:
+    """epsilon1 as an unreduced pair."""
     bd = graph.boundary
     if bd is None:
         raise ValueError("graph has no boundary")
-    return Fraction(-2) + sum(
-        (b[v] for v in graph.neighbors(bd) if graph.mark(v) >= 2), Fraction(0)
-    )
+    blacks = [b[v] for v in graph.neighbors(bd) if graph.mark(v) >= 2]
+    return _ratio_sum(((x.numerator, x.denominator) for x in blacks), -2)
+
+
+def epsilon1(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
+    """Boundary excess: -2 plus the b_i over the boundary's black neighbours."""
+    return Fraction(*_epsilon1_ratio(graph, b))
 
 
 def delta1(graph: "VisibleGraph", near: Optional[NearCY] = None) -> Optional[Fraction]:
@@ -241,24 +286,25 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
             reasons=reasons,
         )
 
-    b = singularities.solve_discrepancies(graph, chain_list)
+    b = singularities.discrepancy_numerators(graph, chain_list)
     log_canonical_only = False
-    for v, bv in b.items():
-        if bv > 1:
-            reasons.append(f"discrepancy b[{v}] = {bv} > 1: not log canonical")
-        elif bv == 1:
+    for v, (num, det) in b.items():
+        if num > det:
+            reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} > 1: not log canonical")
+        elif num == det:
             log_canonical_only = True
-        if bv < 0:
-            reasons.append(f"discrepancy b[{v}] = {bv} < 0")
+        if num < 0:
+            reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} < 0")
 
     vol = volume(graph, b)
     eps = epsilon1(graph, b) if graph.boundary is not None else None
 
     if not reasons:
-        kcs = {v: kc_degree(graph, b, v) for v in graph.whites()}
+        # the numerator's sign is the degree's: denominators are positive
+        kcs = {v: _kc_ratio(graph, b, v)[0] for v in graph.whites()}
         for v, kc in kcs.items():
             if kc < 0:
-                reasons.append(f"white {v} has negative canonical degree {kc}")
+                reasons.append(f"white {v} has negative canonical degree {kc_degree(graph, b, v)}")
         if eps is not None and eps <= 0:
             reasons.append(f"boundary excess {eps} is not positive")
         if vol <= 0:
@@ -280,6 +326,288 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
         epsilon1=eps, delta1=delta1(graph, near), status=status, near_cy=near,
         reasons=reasons, log_canonical_only=log_canonical_only,
     )
+
+
+# -- certification from edge summaries ---------------------------------------
+#
+# A graph built from edge content carries one Stern-Brocot pattern per
+# edge, and most of what certify computes depends on one edge alone: a
+# black run strictly inside an edge is a chain of its own, and a white
+# inside an edge sees only its two path neighbours.  Only the corners
+# couple the edges, through their marks.  ``edge_summary`` settles each
+# pattern once; ``glue`` joins six summaries at the corners and reaches
+# certify's verdict without building the graph.
+
+#: certify's checks in order; a failing Verdict names the first that fails
+CHECKS = ("mark", "chain", "discrepancy", "degree", "boundary_excess", "volume", "weights")
+
+
+class EdgeSummary(NamedTuple):
+    """What certification needs of one edge pattern, weights apart.
+
+    The edge runs from end 0, its first corner (the pair (1, 0)), to
+    end 1, its second (0, 1).  A black run that reaches an end is that
+    end's *tail*; the white that stops a tail, or that meets the corner
+    when the tail is empty, is that end's *face*.  The inner runs lie
+    between the two faces; their chains, and the degrees of the whites
+    between the faces, are settled here.  An inner run meets no boundary,
+    so its discrepancies lie in [0, 1) and pass certify's range check.
+    Pairs are unreduced (numerator, denominator) pairs.
+    """
+
+    pattern: tuple[tuple[int, int], ...]
+    #: insertions next to each end's corner: what the edge adds to its mark
+    touches: tuple[int, int]
+    #: black interior vertices
+    blacks: int
+    #: the marks from end 0 to end 1 when there are some and all are black
+    through: Optional[tuple[int, ...]]
+    #: each end's tail marks, read from its corner inward
+    tails: tuple[tuple[int, ...], tuple[int, ...]]
+    #: each face's degree so far: all but its neighbour towards its corner
+    faces: Optional[tuple[tuple[int, int], tuple[int, int]]]
+    #: one white is the face of both ends
+    one_face: bool
+    #: a white between the faces has negative degree
+    inner_negative: bool
+    #: the sum of b (mark - 2) over the inner runs
+    inner_volume: tuple[int, int]
+    #: the interior whites' pairs
+    whites: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=4096)
+def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
+    """Summary of one edge pattern, which must hold the creation parents
+    of each of its pairs (as every pattern of a graph does)."""
+    path = sorted(pattern, key=lambda p: Fraction(p[1], p[0]))
+    ends = [(1, 0), *path, (0, 1)]
+    # the neighbours of q on the path add up to mark(q) * q (Hirzebruch-Jung)
+    marks = [(ends[k - 1][0] + ends[k + 1][0]) // ends[k][0] for k in range(1, len(ends) - 1)]
+    touches = (sum(m2 == 1 for _, m2 in pattern), sum(m1 == 1 for m1, _ in pattern))
+    blacks = sum(a >= 2 for a in marks)
+    white_at = [k for k, a in enumerate(marks) if a == 1]
+    if not white_at:
+        return EdgeSummary(pattern, touches, blacks, tuple(marks) or None, ((), ()), None, False, False, (0, 1), ())
+    first, last = white_at[0], white_at[-1]
+    b: dict[int, tuple[int, int]] = {}  # position of an inner black: its discrepancy
+    vol = (0, 1)
+    for black, group in groupby(range(first, last), key=lambda k: marks[k] >= 2):
+        if black:
+            at = list(group)
+            run = tuple(marks[k] for k in at)
+            det, nums = singularities._chain_discrepancies(run, (0,) * len(run))
+            vol = _ratio_sum([(sum(map(mul, nums, run)) - 2 * sum(nums), det)], *vol)
+            b.update((k, (num, det)) for k, num in zip(at, nums))
+
+    def degree(k: int, *sides: int) -> tuple[int, int]:
+        return _ratio_sum((b[k + d] for d in sides if k + d in b), -1)
+
+    faces = (degree(first), degree(last)) if first == last else (degree(first, 1), degree(last, -1))
+    return EdgeSummary(
+        pattern, touches, blacks, None, (tuple(marks[:first]), tuple(marks[:last:-1])), faces,
+        first == last, any(degree(k, -1, 1)[0] < 0 for k in white_at[1:-1]), vol,
+        tuple(path[k] for k in white_at),
+    )
+
+
+class Verdict(NamedTuple):
+    """What ``glue`` finds: the first failing check of CHECKS, or None
+    with the volume and Picard rank that certify reports."""
+
+    failed: Optional[str]
+    volume: Optional[Fraction] = None
+    rho: Optional[int] = None
+
+
+#: each corner's three edges as (edge index, end), end 0 when it is the first corner
+_ARMS = tuple(tuple((e, pair.index(c)) for e, pair in enumerate(EDGE_PAIRS) if c in pair) for c in range(4))
+
+# accumulator slots of glue: the white corners 0-3, the boundary excess,
+# then the face of end `end` of edge e (one slot for a one-face edge)
+_EXCESS = 4
+
+
+def _face(summary: EdgeSummary, e: int, end: int) -> int:
+    return 5 + 2 * e + (end and not summary.one_face)
+
+
+def glue(
+    weights: Sequence[Rational],
+    boundary_index: Optional[int],
+    summaries: Sequence[EdgeSummary],
+    counts: Sequence[int],
+) -> Verdict:
+    """certify's verdict on a graph given by its edge summaries, unbuilt.
+
+    ``summaries`` holds the EdgeSummary of each edge in EDGE_PAIRS order,
+    ``counts[c]`` the touches of corner c over its three edges (its mark
+    is counts[c] - 1), and ``boundary_index`` the boundary corner or
+    None.  The black components through the corners are joined from the
+    tails and solved through the same cached chain core as certify's.
+    """
+    bd = boundary_index
+    mark = [t - 1 for t in counts]
+    if any(mark[c] <= 0 for c in range(4) if c != bd):
+        return Verdict("mark")
+    black = [c != bd and mark[c] >= 2 for c in range(4)]
+
+    # black neighbours of each black corner: black corners it reaches
+    # over a bare or all-black edge, and runs it starts, each as
+    # (far corner or None, edge, end, marks read from the corner)
+    links: dict[int, list] = {}
+    runs: dict[int, list] = {}
+    for c in range(4):
+        if not black[c]:
+            continue
+        links[c], runs[c] = [], []
+        for e, end in _ARMS[c]:
+            s = summaries[e]
+            x = EDGE_PAIRS[e][1 - end]
+            if s.through is not None:
+                (links if black[x] else runs)[c].append((x, e, end, s.through[::1 - 2 * end]))
+            elif not s.pattern:
+                if black[x]:
+                    links[c].append((x, e, end, ()))
+            elif s.tails[end]:
+                runs[c].append((None, e, end, s.tails[end]))
+        if len(links[c]) + len(runs[c]) > 2:
+            return Verdict("chain")  # a branch at c
+
+    num = [-1 if c != bd and not black[c] else 0 for c in range(4)] + [-2] + [0] * 12
+    den = [1] * 17
+    for e, s in enumerate(summaries):
+        if s.faces is not None:
+            num[5 + 2 * e], den[5 + 2 * e] = s.faces[0]
+            if not s.one_face:
+                num[6 + 2 * e], den[6 + 2 * e] = s.faces[1]
+    if bd is not None:  # whites next to the boundary
+        for e, end in _ARMS[bd]:
+            s = summaries[e]
+            x = EDGE_PAIRS[e][1 - end]
+            if not s.pattern and not black[x]:
+                num[x] += 1
+            elif s.faces is not None and not s.tails[end]:
+                num[_face(s, e, end)] += den[_face(s, e, end)]
+
+    chains = []  # (marks, contacts, taps); a tap (position, slot) adds b there to the slot
+
+    def near_corner(x: int, pos: int, contacts: list, taps: list) -> None:
+        # the chain vertex at pos meets the corner x, which is not black
+        if x == bd:
+            contacts[pos] = 1
+            taps.append((pos, _EXCESS))
+        else:
+            taps.append((pos, x))
+
+    def add_run(run: tuple, far: Optional[int], e: int, end: int, marks: list, contacts: list, taps: list,
+                head: bool = False) -> None:
+        # run read from its corner outward, which a head run reverses; its
+        # outer vertex meets far or, for a tail, its face
+        pos = len(marks) if head else len(marks) + len(run) - 1
+        marks.extend(run[::-1] if head else run)
+        contacts.extend([0] * len(run))
+        if far is None:
+            taps.append((pos, _face(summaries[e], e, end)))
+        else:
+            near_corner(far, pos, contacts, taps)
+
+    walked = set()
+    for c in links:
+        if c in walked or len(links[c]) == 2:
+            continue
+        # c ends a path of black corners joined by links
+        path, between, prev = [c], [], None
+        while True:
+            step = [lk for lk in links[path[-1]] if lk[0] != prev]
+            if not step:
+                break
+            prev = path[-1]
+            path.append(step[0][0])
+            between.append(step[0][3])
+        walked.update(path)
+        marks: list = []
+        contacts: list = []
+        taps: list = []
+        for far, e, end, run in runs[path[0]][:1]:
+            add_run(run, far, e, end, marks, contacts, taps, head=True)
+        for k, corner in enumerate(path):
+            pos = len(marks)
+            marks.append(mark[corner])
+            contacts.append(0)
+            for e, end in _ARMS[corner]:
+                s = summaries[e]
+                x = EDGE_PAIRS[e][1 - end]
+                if not s.pattern:
+                    if not black[x]:
+                        near_corner(x, pos, contacts, taps)
+                elif s.through is None and not s.tails[end]:
+                    taps.append((pos, _face(s, e, end)))
+            if k < len(between):
+                marks.extend(between[k])
+                contacts.extend([0] * len(between[k]))
+        for far, e, end, run in runs[path[-1]][1 if len(path) == 1 else 0:]:
+            add_run(run, far, e, end, marks, contacts, taps)
+        chains.append((marks, contacts, taps))
+    if len(walked) < len(links):
+        return Verdict("chain")  # a cycle through the corners
+
+    # runs that meet no black corner are chains of their own
+    for e, s in enumerate(summaries):
+        i, j = EDGE_PAIRS[e]
+        if s.through is not None:
+            if not black[i] and not black[j]:
+                marks, contacts, taps = list(s.through), [0] * len(s.through), []
+                near_corner(i, 0, contacts, taps)
+                near_corner(j, len(marks) - 1, contacts, taps)
+                chains.append((marks, contacts, taps))
+        else:
+            for end, c in ((0, i), (1, j)):
+                if s.tails[end] and not black[c]:
+                    marks, contacts, taps = [], [], []
+                    add_run(s.tails[end], None, e, end, marks, contacts, taps)
+                    near_corner(c, 0, contacts, taps)
+                    chains.append((marks, contacts, taps))
+
+    bad = False
+    volumes = [s.inner_volume for s in summaries]
+    for marks, contacts, taps in chains:
+        det, nums = singularities._chain_discrepancies(tuple(marks), tuple(contacts))
+        bad = bad or max(nums) > det or min(nums) < 0
+        volumes.append((sum(map(mul, nums, marks)) - 2 * sum(nums), det))
+        for pos, slot in taps:
+            d = den[slot]
+            if d == det:
+                num[slot] += nums[pos]
+            else:
+                num[slot], den[slot] = num[slot] * det + nums[pos] * d, d * det
+    if bad:
+        return Verdict("discrepancy")
+    if any(s.inner_negative for s in summaries) or any(num[k] < 0 for k in range(17) if k != _EXCESS):
+        return Verdict("degree")
+    blowups = sum(len(s.pattern) for s in summaries)
+    vol_num, vol_den = _ratio_sum(volumes, 9 - blowups)
+    if bd is not None:
+        if num[_EXCESS] <= 0:
+            return Verdict("boundary_excess")
+        vol_num, vol_den = _ratio_sum([(num[_EXCESS], den[_EXCESS])], vol_num + (mark[bd] - 2) * vol_den, vol_den)
+    if vol_num <= 0:
+        return Verdict("volume")
+    n = sum(weights)
+    if (
+        any(c != bd and not black[c] and weights[c] < n for c in range(4))
+        or (bd is not None and weights[bd] < 0)
+        or not all(_heavy(s.whites, weights[i], weights[j], n) for s, (i, j) in zip(summaries, EDGE_PAIRS))
+    ):
+        return Verdict("weights")
+    rho = 1 + blowups - sum(s.blacks for s in summaries) - sum(black)
+    return Verdict(None, Fraction(vol_num, vol_den), rho)
+
+
+@lru_cache(maxsize=4096)
+def _heavy(whites: tuple[tuple[int, int], ...], w_a: Rational, w_b: Rational, n: Rational) -> bool:
+    """Whether every white pair weighs at least n on an edge with corner weights w_a, w_b."""
+    return all(m1 * w_a + m2 * w_b >= n for m1, m2 in whites)
 
 
 def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:

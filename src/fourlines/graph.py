@@ -210,9 +210,14 @@ class VisibleGraph:
         self._vertices.append(new)
 
     def _seal(self) -> None:
-        """Publish the insertion order once the last insertion is applied."""
+        """Publish the insertion order and the colour classes once the last
+        insertion is applied; whites() and blacks() apply the rule of
+        color() to the final marks."""
         self.history: tuple[Insertion, ...] = tuple(self._history)
         self.vertices: tuple[str, ...] = tuple(self._vertices)
+        mark, bd = self._mark, self.boundary
+        self._whites = tuple(v for v in self.vertices if mark[v] == 1 and v != bd)
+        self._blacks = tuple(v for v in self.vertices if mark[v] >= 2 and v != bd)
 
     def _frac_on(self, v: str, edge: tuple[int, int]) -> tuple[int, int]:
         if v in self._frac:
@@ -301,16 +306,11 @@ class VisibleGraph:
             return BLACK
         return UNDEFINED
 
-    # whites() and blacks() apply the rule of color() to the marks directly;
-    # certification asks for them several times per graph
-
     def whites(self) -> tuple[str, ...]:
-        mark, bd = self._mark, self.boundary
-        return tuple(v for v in self.vertices if mark[v] == 1 and v != bd)
+        return self._whites
 
     def blacks(self) -> tuple[str, ...]:
-        mark, bd = self._mark, self.boundary
-        return tuple(v for v in self.vertices if mark[v] >= 2 and v != bd)
+        return self._blacks
 
     @property
     def total_weight(self) -> Fraction:

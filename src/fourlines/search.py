@@ -10,11 +10,17 @@ and the assembly either keeps the boundary at weight 1 or steps exactly
 one white up to n + 1.  Certifying the assembled graphs and keeping the
 smallest volume reproduces the record hunts at desk scale.  A CY search
 enumerates each edge once, allowing one step, and splits that pass into
-the edge's CY and one-step lists.
+the edge's CY and one-step lists; each CY pattern carries its
+``certify.EdgeSummary``.
 
 A form's one identity is its ``graph.canonical_key`` tuple, computed from
 the weights, the boundary and the edge content.  The CY scan deduplicates
-on it before it builds a graph; the winners are built from their keys.
+each combination on it, then judges it with ``certify.glue`` from the
+summaries of its six patterns, without building a graph.  Only the
+combinations it certifies (one in ten on the (1,2,3,5) record ladder)
+are built and certified in full, and certify must agree with the glue's
+volume and Picard rank or the search raises ArithmeticError.  The
+winners are built from their keys.
 
 The generic mode is one depth-first walk in one process.  The CY mode
 may fan out over worker processes: work is split into disjoint task
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .certify import SurfaceReport, certify
+from .certify import EdgeSummary, SurfaceReport, Verdict, certify, edge_summary, glue
 from .graph import EDGE_PAIRS, VisibleGraph, canonical_key, new_base
 
 __all__ = [
@@ -188,15 +194,6 @@ def step_edge_enumerate(
     return _edge_tables(w_a, w_b, n, max_insertions, 1)[1]
 
 
-def _corner_touches(pattern: Pattern) -> tuple[int, int]:
-    """How often the two edge corners appear as insertion parents.
-
-    The corner (1, 0) is a creation parent of exactly the pairs (k, 1),
-    and the corner (0, 1) of exactly the pairs (1, k).
-    """
-    return sum(m2 == 1 for _, m2 in pattern), sum(m1 == 1 for m1, _ in pattern)
-
-
 # -- shared bookkeeping --------------------------------------------------
 
 # a form's one identity is its canonical key; a certified form maps to
@@ -205,8 +202,18 @@ Key = tuple[tuple, tuple]
 Certified = dict[Key, tuple[Fraction, int]]
 
 
-def _record(graph: VisibleGraph, key: Key, certified: Certified) -> None:
+def _record(graph: VisibleGraph, key: Key, certified: Certified, verdict: Optional[Verdict] = None) -> None:
+    """Certify ``graph`` and keep its volume and rank under ``key`` when it
+    certifies.  With the glue's ``verdict`` of certified, certify must
+    agree with it on the verdict, the volume and the rank."""
     report = certify(graph)
+    if verdict is not None and (
+        not report.certified or (report.volume, report.rho) != (verdict.volume, verdict.rho)
+    ):
+        raise ArithmeticError(
+            f"glue certified volume {verdict.volume}, rho {verdict.rho}; certify says "
+            f"{report.status}, volume {report.volume}, rho {report.rho} for {key!r}"
+        )
     if report.certified:
         certified[key] = (report.volume, report.rho)
 
@@ -325,16 +332,16 @@ def generic_search(config: SearchConfig) -> SearchResult:
 
 
 def _cy_tables(config: SearchConfig):
-    """Per-edge CY and one-step pattern lists, plus corner touch counts.
+    """Per edge, the summaries of the CY patterns and the one-step pattern list.
 
     Each edge is enumerated once; the tables go to every worker.
     """
     n, w = config.total_weight, config.weights
     cy, step = {}, {}
     for i, j in EDGE_PAIRS:
-        cy[(i, j)], step[(i, j)] = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
-    touches = {edge: [_corner_touches(p) for p in pats] for edge, pats in cy.items()}
-    return cy, step, touches
+        patterns, step[(i, j)] = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
+        cy[(i, j)] = [edge_summary(p) for p in patterns]
+    return cy, step
 
 
 def _cy_case(config: SearchConfig) -> int:
@@ -353,7 +360,7 @@ def _cy_case(config: SearchConfig) -> int:
 
 
 def _cy_worker(args) -> tuple[set[Key], Certified]:
-    (config, cy, step, touches), tasks = args
+    (config, cy, step), tasks = args
     weights = config.weights
     n = config.total_weight
     budget = config.max_blowups
@@ -361,6 +368,8 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
     bd = None if b_index is None else _CORNERS[b_index]
     seen: set[Key] = set()
     certified: Certified = {}
+    # the summary of the pattern on each edge, in EDGE_PAIRS order
+    chosen: list[Optional[EdgeSummary]] = [None] * 6
 
     def corner_ok(counts) -> bool:
         for c in range(4):
@@ -373,47 +382,44 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
                 return False
         return True
 
-    def finish(patterns: dict[Pair, Pattern], counts) -> None:
+    def finish(counts) -> None:
         if not corner_ok(counts):
             return
-        key = canonical_key(weights, b_index, patterns)
+        content = {edge: summary.pattern for edge, summary in zip(EDGE_PAIRS, chosen)}
+        key = canonical_key(weights, b_index, content)
         if key in seen:
             return
         seen.add(key)
-        _record(VisibleGraph.from_edge_content(_CORNERS, weights, bd, patterns), key, certified)
+        # the glue rejects most combinations; only the ones it certifies are built
+        verdict = glue(weights, b_index, chosen, counts)
+        if verdict.failed is None:
+            _record(VisibleGraph.from_edge_content(_CORNERS, weights, bd, content), key, certified, verdict)
 
-    def scan(free: list[Pair], k: int, patterns, counts, left: int) -> None:
+    def scan(free: list[int], k: int, counts, left: int) -> None:
         if k == len(free):
-            finish(patterns, counts)
+            finish(counts)
             return
-        edge = free[k]
-        i, j = edge
-        for idx, pat in enumerate(cy[edge]):
-            size = len(pat)
+        e = free[k]
+        edge = i, j = EDGE_PAIRS[e]
+        for summary in cy[edge]:
+            size = len(summary.pattern)
             if size > left:
                 break  # patterns are sorted by size
-            ti, tj = touches[edge][idx]
+            ti, tj = summary.touches
             counts[i] += ti
             counts[j] += tj
-            patterns[edge] = pat
-            scan(free, k + 1, patterns, counts, left - size)
+            chosen[e] = summary
+            scan(free, k + 1, counts, left - size)
             counts[i] -= ti
             counts[j] -= tj
-        patterns.pop(edge, None)
 
     for special, idx in tasks:
+        e = 0 if special is None else special
+        edge = EDGE_PAIRS[e]
+        chosen[e] = cy[edge][idx] if special is None else edge_summary(step[edge][idx])
         counts = [0, 0, 0, 0]
-        if special is None:
-            edge = EDGE_PAIRS[0]
-            fixed = cy[edge][idx]
-        else:
-            edge = EDGE_PAIRS[special]
-            fixed = step[edge][idx]
-        ti, tj = _corner_touches(fixed)
-        counts[edge[0]] += ti
-        counts[edge[1]] += tj
-        free = [e for e in EDGE_PAIRS if e != edge]
-        scan(free, 0, {edge: fixed}, counts, budget - len(fixed))
+        counts[edge[0]], counts[edge[1]] = chosen[e].touches
+        scan([f for f in range(6) if f != e], 0, counts, budget - len(chosen[e].pattern))
     return seen, certified
 
 
@@ -427,12 +433,12 @@ def cy_step_up_search(config: SearchConfig) -> SearchResult:
     if config.mode != CY_STEP_UP:
         raise ValueError("cy_step_up_search needs mode='cy_step_up'")
     case = _cy_case(config)
-    cy, step, touches = _cy_tables(config)
+    cy, step = _cy_tables(config)
     if case == 3:
         tasks = [(None, k) for k in range(len(cy[EDGE_PAIRS[0]]))]
     else:
         tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
-    seen, certified = _run_tasks(_cy_worker, (config, cy, step, touches), tasks, config.jobs)
+    seen, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)
     best, eligible = _select_best(certified, config.rho_filter)
     return SearchResult(
         best=best,

@@ -24,23 +24,28 @@ its boundary contacts, hence
 an integer numerator over d_k; with no boundary contact this is
 b_j = 1 - (d_{j-1} + d'_{k-j}) / d_k.  The numerators are substituted
 back into the system multiplied by d_k, in integers, and any nonzero
-residual raises ArithmeticError.
+residual raises ArithmeticError.  The solution depends only on the marks
+and the contacts, so it is cached on them: a search meets the same few
+hundred chains thousands of times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .graph import VisibleGraph
 
 __all__ = [
     "Chain",
+    "Discrepancy",
     "NotChainError",
     "black_components",
     "check_log_terminal",
+    "discrepancy_numerators",
     "solve_discrepancies",
     "chain_determinant",
     "orbifold_defect",
@@ -49,6 +54,17 @@ __all__ = [
 
 class NotChainError(ValueError):
     """A black component is not a simple path."""
+
+
+class Discrepancy(NamedTuple):
+    """A discrepancy as its integer numerator over its chain's determinant.
+
+    The pair is not reduced.  Its fields read as those of a Fraction, so
+    the sums in ``certify`` take either.
+    """
+
+    numerator: int
+    denominator: int
 
 
 @dataclass(frozen=True)
@@ -142,32 +158,45 @@ def chains(graph: "VisibleGraph") -> list[Chain]:
     return [Chain(comp, tuple(graph.mark(v) for v in comp)) for comp, _ in components]
 
 
+def discrepancy_numerators(
+    graph: "VisibleGraph", chain_list: Optional[Sequence[Chain]] = None
+) -> dict[str, Discrepancy]:
+    """The discrepancy of every black vertex over its chain's determinant.
+
+    ``chain_list``, when given, must be ``chains(graph)``; passing it
+    saves finding the black components again.  Raises NotChainError
+    when a black component is not a path, and ArithmeticError when the
+    integer residual check fails.  Entries run chain by chain.
+    """
+    if chain_list is None:
+        chain_list = chains(graph)
+    boundary = graph.boundary
+    out: dict[str, Discrepancy] = {}
+    for chain in chain_list:
+        contacts = tuple(
+            int(boundary is not None and graph.adjacent(v, boundary)) for v in chain.vertex_ids
+        )
+        det, nums = _chain_discrepancies(tuple(chain.marks), contacts)
+        out.update((v, Discrepancy(num, det)) for v, num in zip(chain.vertex_ids, nums))
+    return out
+
+
 def solve_discrepancies(
     graph: "VisibleGraph", chain_list: Optional[Sequence[Chain]] = None
 ) -> dict[str, Fraction]:
     """Exact solution of the discrepancy system, one entry per black vertex.
 
-    ``chain_list``, when given, must be ``chains(graph)``; passing it
-    saves finding the black components again.  Raises NotChainError
-    when a black component is not a path, and ArithmeticError when the
-    integer residual check fails.
+    As ``discrepancy_numerators``, with each entry reduced to a Fraction.
     """
-    if chain_list is None:
-        chain_list = chains(graph)
-    boundary = graph.boundary
-    out: dict[str, Fraction] = {}
-    for chain in chain_list:
-        contacts = [
-            int(boundary is not None and graph.adjacent(v, boundary)) for v in chain.vertex_ids
-        ]
-        out.update(zip(chain.vertex_ids, _chain_discrepancies(chain.marks, contacts)))
-    return out
+    return {v: Fraction(num, det) for v, (num, det) in discrepancy_numerators(graph, chain_list).items()}
 
 
-def _chain_discrepancies(marks: Sequence[int], contacts: Sequence[int]) -> list[Fraction]:
-    """Discrepancies of one chain from its continuants (see the module docstring).
+@lru_cache(maxsize=8192)
+def _chain_discrepancies(marks: tuple[int, ...], contacts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Determinant and discrepancy numerators of one chain (see the module docstring).
 
-    ``contacts[j]`` is 1 when the j-th vertex meets the boundary, else 0.
+    ``contacts[j]`` is 1 when the j-th vertex meets the boundary, else 0;
+    the j-th discrepancy is ``nums[j] / det``.
     """
     k = len(marks)
     left = _continuants(marks)
@@ -195,7 +224,7 @@ def _chain_discrepancies(marks: Sequence[int], contacts: Sequence[int]) -> list[
             res -= nums[j + 1]
         if res:
             raise ArithmeticError(f"discrepancy residual {res}/{det} on chain {tuple(marks)}")
-    return [Fraction(num, det) for num in nums]
+    return det, tuple(nums)
 
 
 def _continuants(marks: Sequence[int]) -> list[int]:

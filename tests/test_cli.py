@@ -71,16 +71,40 @@ def test_discrepancy_residual_check_survives_python_O():
 
 
 def test_search_out_files_identical_under_python_O(capsys, tmp_path):
-    """The key-based search writes the same --out files with asserts stripped."""
-    argv = ["search", "--weights", "1,2,3,5", "--boundary", "--max-blowups", "12", "--out"]
-    assert run(capsys, *argv, str(tmp_path / "plain"))[0] == 0
-    proc = run_optimized("-m", "fourlines.cli", *argv, str(tmp_path / "optimized"))
-    assert proc.returncode == 0, proc.stderr
-    plain, optimized = (
-        {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("plain", "optimized")
+    """The glue-filtered search writes the same --out files with asserts
+    stripped: with a unit boundary (every edge CY) and in the interior
+    record search, where one edge steps a white up."""
+    for name, options in (("boundary", ["--boundary", "--max-blowups", "12"]), ("interior", ["--max-blowups", "22"])):
+        argv = ["search", "--weights", "1,2,3,5", *options, "--out"]
+        assert run(capsys, *argv, str(tmp_path / name / "plain"))[0] == 0
+        proc = run_optimized("-m", "fourlines.cli", *argv, str(tmp_path / name / "optimized"))
+        assert proc.returncode == 0, proc.stderr
+        plain, optimized = (
+            {p.name: p.read_bytes() for p in (tmp_path / name / d).iterdir()} for d in ("plain", "optimized")
+        )
+        assert len(plain) >= 4
+        assert optimized == plain
+
+
+def test_glue_disagreement_raises_under_python_O():
+    """A survivor whose glue volume differs from certify's stops the search,
+    with asserts stripped."""
+    script = (
+        "import sys\n"
+        "from fourlines import search\n"
+        "real = search.glue\n"
+        "def wrong(*args):\n"
+        "    verdict = real(*args)\n"
+        "    return verdict if verdict.failed else verdict._replace(volume=verdict.volume + 1)\n"
+        "search.glue = wrong\n"
+        "try:\n"
+        "    search.run_search(search.SearchConfig((1, 2, 3, 5), boundary=True, max_blowups=12))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', sys.flags.optimize, 'glue certified volume' in str(exc))\n"
     )
-    assert len(plain) >= 4
-    assert optimized == plain
+    proc = run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "1", "True"]
 
 
 def test_verify_json_report(capsys):

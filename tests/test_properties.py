@@ -1,13 +1,14 @@
 """Seeded property tests of the graph key, the graph builders, the graph
-file format, the discrepancy core and the CY edge tables.
+file format, the discrepancy core, the CY edge tables and the glue.
 
 Each fast path is compared with a slow reference: the canonical key with
 the minimum over all 24 corner relabelings, the copying ``insert`` and
 the piece-merging ``from_edge_content`` with a replay of the whole
 history, the integer continuant discrepancies with Fraction Gaussian
-elimination, and the one-pass edge tables of a CY search with the public
-per-edge enumerators.  Graph files must round-trip, and damaged ones must
-fail with FormatError alone.
+elimination, the one-pass edge tables of a CY search with the public
+per-edge enumerators, and the glue's verdict from edge summaries with
+``certify`` on the built graph.  Graph files must round-trip, and damaged
+ones must fail with FormatError alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from fourlines.graph import (
     parse,
     serialize,
 )
-from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, step_edge_enumerate
+from fourlines import search as searchmod
+from fourlines.certify import CHECKS, certify, edge_summary, glue
+from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, run_search, step_edge_enumerate
 from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
 
 #: weight vectors with repeated entries give several least relabelings
@@ -291,7 +294,8 @@ def test_integer_discrepancies_equal_fraction_solve_on_random_chains():
         marks = [rng.choice((2, 2, 2, 3, 4, 5, 9)) for _ in range(k)]
         contacts = [int(rng.random() < 0.3) for _ in range(k)]
         interior_contacts += any(contacts[1:-1])
-        assert _chain_discrepancies(marks, contacts) == fraction_solve(marks, contacts)
+        det, nums = _chain_discrepancies(tuple(marks), tuple(contacts))
+        assert [Fraction(num, det) for num in nums] == fraction_solve(marks, contacts)
     assert interior_contacts > 300
 
 
@@ -334,15 +338,136 @@ def test_one_pass_edge_tables_equal_the_public_enumerators():
         budget = rng.randint(0, 14)
         config = SearchConfig(weights, boundary=rng.random() < 0.5, max_blowups=budget)
         n = config.total_weight
-        cy, step, _ = _cy_tables(config)
+        cy, step = _cy_tables(config)
         for i, j in EDGE_PAIRS:
-            assert cy[(i, j)] == cy_edge_enumerate(weights[i], weights[j], n, budget)
+            assert [s.pattern for s in cy[(i, j)]] == cy_edge_enumerate(weights[i], weights[j], n, budget)
             assert step[(i, j)] == step_edge_enumerate(weights[i], weights[j], n, budget)
             with_steps += bool(step[(i, j)])
             # the split itself: whites at n, plus exactly one at n + 1 on the step side
-            for pattern in cy[(i, j)]:
-                assert all(w == n for w in white_weights(pattern, weights[i], weights[j]))
+            for summary in cy[(i, j)]:
+                assert all(w == n for w in white_weights(summary.pattern, weights[i], weights[j]))
             for pattern in step[(i, j)]:
                 whites = white_weights(pattern, weights[i], weights[j])
                 assert whites.count(n + 1) == 1 and whites.count(n) == len(whites) - 1
     assert with_steps > 100
+
+
+# -- the glue ----------------------------------------------------------------
+
+#: the start of certify's reason for each check; a negative degree reads
+#: "white v has negative canonical degree", a light white "white v has weight"
+REASON_CHECKS = (
+    ("non-boundary vertex", "mark"),
+    ("black component", "chain"),
+    ("discrepancy", "discrepancy"),
+    ("boundary excess", "boundary_excess"),
+    ("volume", "volume"),
+    ("boundary weight", "weights"),
+)
+
+
+def first_failed(report):
+    """certify's first failing check, from the first of its reasons."""
+    if report.certified:
+        return None
+    reason = report.reasons[0]
+    for start, check in REASON_CHECKS:
+        if reason.startswith(start):
+            return check
+    return "degree" if "negative canonical degree" in reason else "weights"
+
+
+def search_combinations(config) -> list:
+    """(weights, boundary index, patterns, counts) of every combination
+    the CY search hands the glue: each assembled form once."""
+    calls = []
+
+    def recording(weights, boundary_index, summaries, counts):
+        calls.append((weights, boundary_index, tuple(s.pattern for s in summaries), tuple(counts)))
+        return real(weights, boundary_index, summaries, counts)
+
+    real = searchmod.glue
+    searchmod.glue = recording
+    try:
+        result = run_search(config)
+    finally:
+        searchmod.glue = real
+    assert len(calls) == result.explored["assembled"]
+    return calls
+
+
+def walked_graphs(config) -> list:
+    """The same for every graph the generic walk certifies: each form it reaches."""
+    graphs = []
+
+    def recording(graph, *args):
+        graphs.append(graph)
+        return real(graph, *args)
+
+    real = searchmod._record
+    searchmod._record = recording
+    try:
+        result = run_search(config)
+    finally:
+        searchmod._record = real
+    assert len(graphs) == result.explored["explored"]
+    return [content_of(g) for g in graphs]
+
+
+def content_of(g: VisibleGraph) -> tuple:
+    """(weights, boundary index, patterns, counts) of a graph: its
+    patterns in EDGE_PAIRS order and its corner touch counts."""
+    patterns = tuple(edge_content(g)[pair] for pair in EDGE_PAIRS)
+    counts = [0, 0, 0, 0]
+    for (i, j), pattern in zip(EDGE_PAIRS, patterns):
+        ti, tj = edge_summary(pattern).touches
+        counts[i] += ti
+        counts[j] += tj
+    boundary_index = None if g.boundary is None else g.corners.index(g.boundary)
+    return g.initial_weights, boundary_index, patterns, tuple(counts)
+
+
+def test_glue_agrees_with_certify():
+    """The glue's verdict, first failing check, volume and rank equal
+    certify's on the built graph.  The cases: every combination of the
+    budget-22 (1,2,3,5) search and of the 56 boundary searches at budget
+    12; every graph of the generic (0,1,1,1) walk at budget 7, the only
+    ones with white corners; all of these again under random weights
+    and boundaries; and random insertion graphs.  A false rejection
+    would lose a form."""
+    cases = search_combinations(SearchConfig((1, 2, 3, 5), max_blowups=22))
+    assert len(cases) == 2913
+    for a in range(1, 7):
+        for b in range(a, 7):
+            for c in range(b, 7):
+                cases += search_combinations(SearchConfig((1, a, b, c), boundary=True, max_blowups=12))
+    cases += walked_graphs(SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic"))
+    rng = random.Random(4711)
+    choices = (0, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+    for _, boundary_index, patterns, counts in cases[:]:
+        weights = [rng.choice(choices) for _ in range(4)]
+        boundary_index = rng.choice((None, boundary_index))
+        if boundary_index is not None and rng.random() < 0.2:
+            weights[boundary_index] = -1  # fails the boundary's own weight condition
+        cases.append((weights, boundary_index, patterns, counts))
+    for _ in range(2000):
+        weights = [rng.choice(choices) for _ in range(4)]
+        cases.append(content_of(grow(rng, weights, rng.choice((None, 0, 1, 2, 3)), 14)))
+
+    seen = {check: 0 for check in (None,) + CHECKS}
+    mismatches = []
+    for weights, boundary_index, patterns, counts in cases:
+        boundary = None if boundary_index is None else f"L{boundary_index}"
+        g = VisibleGraph.from_edge_content(
+            ("L0", "L1", "L2", "L3"), weights, boundary, dict(zip(EDGE_PAIRS, patterns))
+        )
+        report = certify(g)
+        verdict = glue(weights, boundary_index, [edge_summary(p) for p in patterns], counts)
+        expected = first_failed(report)
+        seen[expected] += 1
+        if verdict.failed != expected or (
+            expected is None and (verdict.volume, verdict.rho) != (report.volume, report.rho)
+        ):
+            mismatches.append((g.canonical_form(), verdict, report.reasons[:1]))
+    assert mismatches == []
+    assert all(seen.values()), seen

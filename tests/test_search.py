@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fourlines import search as searchmod
-from fourlines.certify import certify
+from fourlines.certify import certify, edge_summary
 from fourlines.graph import EDGE_PAIRS, VisibleGraph, _stern_brocot_parents, new_base, parse, serialize
 from fourlines.search import (
     SearchConfig,
@@ -236,7 +236,9 @@ def test_generic_search_starts_no_pool(monkeypatch):
 
 
 def test_corner_touches_match_parent_walk():
-    """The closed form counts what walking every pair's parents counts."""
+    """The edge summary's closed forms count what walking every pair's
+    parents counts: the corner touches, and the black vertices (those
+    that are a parent)."""
     rng = random.Random(20261018)
     for _ in range(300):
         path = [(1, 0), (0, 1)]  # an edge path from corner (1, 0) to (0, 1)
@@ -247,8 +249,9 @@ def test_corner_touches_match_parent_walk():
             path.insert(k + 1, (a1 + b1, a2 + b2))
             pattern.append(path[k + 1])
         parents = [p for m in pattern for p in _stern_brocot_parents(*m)]
-        expected = (parents.count((1, 0)), parents.count((0, 1)))
-        assert searchmod._corner_touches(tuple(pattern)) == expected
+        summary = edge_summary(tuple(pattern))
+        assert summary.touches == (parents.count((1, 0)), parents.count((0, 1)))
+        assert summary.blacks == len(set(parents) - {(1, 0), (0, 1)})
 
 
 def test_step_edge_patterns_have_one_heavy_leaf():
@@ -393,8 +396,9 @@ def test_cy_search_rho_filter():
 
 def test_cy_search_builds_each_form_once(monkeypatch):
     """Repeated weights give duplicate edge content; its key is found
-    before a graph is built, so the search builds each assembled form
-    and then each winner once."""
+    before the glue runs, and only the forms the glue certifies are
+    built, so the search builds each certified form and then each winner
+    once."""
     real = VisibleGraph.from_edge_content
     built = []
 
@@ -405,7 +409,8 @@ def test_cy_search_builds_each_form_once(monkeypatch):
     monkeypatch.setattr(VisibleGraph, "from_edge_content", classmethod(counting))
     res = cy_step_up_search(SearchConfig(weights=(1, 1, 2, 3), boundary=True, max_blowups=12))
     assert res.best
-    assert len(built) == res.explored["assembled"] + len(res.best)
+    assert res.explored["certified"] < res.explored["assembled"]
+    assert len(built) == res.explored["certified"] + len(res.best)
     assert res.forms() == sorted(res.forms())
 
 
