@@ -348,7 +348,9 @@ class EdgeSummary(NamedTuple):
     The edge runs from end 0, its first corner (the pair (1, 0)), to
     end 1, its second (0, 1).  A black run that reaches an end is that
     end's *tail*; the white that stops a tail, or that meets the corner
-    when the tail is empty, is that end's *face*.  The inner runs lie
+    when the tail is empty, is that end's *face*.  A pattern's newest pair
+    lies between its two creation parents and so is white: only a bare
+    edge has no face, and its tails are empty.  The inner runs lie
     between the two faces; their chains, and the degrees of the whites
     between the faces, are settled here.  An inner run meets no boundary,
     so its discrepancies lie in [0, 1) and pass certify's range check.
@@ -360,8 +362,6 @@ class EdgeSummary(NamedTuple):
     touches: tuple[int, int]
     #: black interior vertices
     blacks: int
-    #: the marks from end 0 to end 1 when there are some and all are black
-    through: Optional[tuple[int, ...]]
     #: each end's tail marks, read from its corner inward
     tails: tuple[tuple[int, ...], tuple[int, ...]]
     #: each face's degree so far: all but its neighbour towards its corner
@@ -387,8 +387,8 @@ def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
     touches = (sum(m2 == 1 for _, m2 in pattern), sum(m1 == 1 for m1, _ in pattern))
     blacks = sum(a >= 2 for a in marks)
     white_at = [k for k, a in enumerate(marks) if a == 1]
-    if not white_at:
-        return EdgeSummary(pattern, touches, blacks, tuple(marks) or None, ((), ()), None, False, False, (0, 1), ())
+    if not white_at:  # only a bare edge has no white
+        return EdgeSummary(pattern, touches, blacks, ((), ()), None, False, False, (0, 1), ())
     first, last = white_at[0], white_at[-1]
     b: dict[int, tuple[int, int]] = {}  # position of an inner black: its discrepancy
     vol = (0, 1)
@@ -405,7 +405,7 @@ def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
 
     faces = (degree(first), degree(last)) if first == last else (degree(first, 1), degree(last, -1))
     return EdgeSummary(
-        pattern, touches, blacks, None, (tuple(marks[:first]), tuple(marks[:last:-1])), faces,
+        pattern, touches, blacks, (tuple(marks[:first]), tuple(marks[:last:-1])), faces,
         first == last, any(degree(k, -1, 1)[0] < 0 for k in white_at[1:-1]), vol,
         tuple(path[k] for k in white_at),
     )
@@ -420,8 +420,10 @@ class Verdict(NamedTuple):
     rho: Optional[int] = None
 
 
-#: each corner's three edges as (edge index, end), end 0 when it is the first corner
-_ARMS = tuple(tuple((e, pair.index(c)) for e, pair in enumerate(EDGE_PAIRS) if c in pair) for c in range(4))
+#: each corner's three edges as (edge index, end, far corner), end 0 when it is the first corner
+_ARMS = tuple(
+    tuple((e, end, p[1 - end]) for e, p in enumerate(EDGE_PAIRS) for end in (0, 1) if p[end] == c) for c in range(4)
+)
 
 # accumulator slots of glue: the white corners 0-3, the boundary excess,
 # then the face of end `end` of edge e (one slot for a one-face edge)
@@ -432,45 +434,37 @@ def _face(summary: EdgeSummary, e: int, end: int) -> int:
     return 5 + 2 * e + (end and not summary.one_face)
 
 
-def glue(
-    weights: Sequence[Rational],
-    boundary_index: Optional[int],
-    summaries: Sequence[EdgeSummary],
-    counts: Sequence[int],
-) -> Verdict:
+def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: Sequence[EdgeSummary]) -> Verdict:
     """certify's verdict on a graph given by its edge summaries, unbuilt.
 
-    ``summaries`` holds the EdgeSummary of each edge in EDGE_PAIRS order,
-    ``counts[c]`` the touches of corner c over its three edges (its mark
-    is counts[c] - 1), and ``boundary_index`` the boundary corner or
-    None.  The black components through the corners are joined from the
-    tails and solved through the same cached chain core as certify's.
+    ``summaries`` holds the EdgeSummary of each edge in EDGE_PAIRS order
+    and ``boundary_index`` the boundary corner or None.  A corner's mark
+    is -1 plus the touches of its three edges.  A corner meets each of
+    its edges through an *arm* of one of two kinds: a faceless arm, a
+    bare edge, leads straight to the far corner; a faced arm leads
+    through its tail to the face.  The black components through the
+    corners are joined from the tails and solved through the same cached
+    chain core as certify's.
     """
     bd = boundary_index
-    mark = [t - 1 for t in counts]
+    mark = [-1, -1, -1, -1]
+    for (i, j), s in zip(EDGE_PAIRS, summaries):
+        mark[i] += s.touches[0]
+        mark[j] += s.touches[1]
     if any(mark[c] <= 0 for c in range(4) if c != bd):
         return Verdict("mark")
     black = [c != bd and mark[c] >= 2 for c in range(4)]
 
-    # black neighbours of each black corner: black corners it reaches
-    # over a bare or all-black edge, and runs it starts, each as
-    # (far corner or None, edge, end, marks read from the corner)
+    # black neighbours of each black corner: the black corners at the end
+    # of its faceless arms, and the tails of its faced arms as (edge, end,
+    # marks read from the corner)
     links: dict[int, list] = {}
     runs: dict[int, list] = {}
     for c in range(4):
         if not black[c]:
             continue
-        links[c], runs[c] = [], []
-        for e, end in _ARMS[c]:
-            s = summaries[e]
-            x = EDGE_PAIRS[e][1 - end]
-            if s.through is not None:
-                (links if black[x] else runs)[c].append((x, e, end, s.through[::1 - 2 * end]))
-            elif not s.pattern:
-                if black[x]:
-                    links[c].append((x, e, end, ()))
-            elif s.tails[end]:
-                runs[c].append((None, e, end, s.tails[end]))
+        links[c] = [x for e, _, x in _ARMS[c] if summaries[e].faces is None and black[x]]
+        runs[c] = [(e, end, summaries[e].tails[end]) for e, end, _ in _ARMS[c] if summaries[e].tails[end]]
         if len(links[c]) + len(runs[c]) > 2:
             return Verdict("chain")  # a branch at c
 
@@ -482,12 +476,12 @@ def glue(
             if not s.one_face:
                 num[6 + 2 * e], den[6 + 2 * e] = s.faces[1]
     if bd is not None:  # whites next to the boundary
-        for e, end in _ARMS[bd]:
+        for e, end, x in _ARMS[bd]:
             s = summaries[e]
-            x = EDGE_PAIRS[e][1 - end]
-            if not s.pattern and not black[x]:
-                num[x] += 1
-            elif s.faces is not None and not s.tails[end]:
+            if s.faces is None:
+                if not black[x]:
+                    num[x] += 1
+            elif not s.tails[end]:
                 num[_face(s, e, end)] += den[_face(s, e, end)]
 
     chains = []  # (marks, contacts, taps); a tap (position, slot) adds b there to the slot
@@ -500,74 +494,57 @@ def glue(
         else:
             taps.append((pos, x))
 
-    def add_run(run: tuple, far: Optional[int], e: int, end: int, marks: list, contacts: list, taps: list,
-                head: bool = False) -> None:
+    def add_tail(e: int, end: int, run: tuple, marks: list, contacts: list, taps: list, head: bool = False) -> None:
         # run read from its corner outward, which a head run reverses; its
-        # outer vertex meets far or, for a tail, its face
+        # outer vertex meets the face
         pos = len(marks) if head else len(marks) + len(run) - 1
         marks.extend(run[::-1] if head else run)
         contacts.extend([0] * len(run))
-        if far is None:
-            taps.append((pos, _face(summaries[e], e, end)))
-        else:
-            near_corner(far, pos, contacts, taps)
+        taps.append((pos, _face(summaries[e], e, end)))
 
     walked = set()
     for c in links:
         if c in walked or len(links[c]) == 2:
             continue
-        # c ends a path of black corners joined by links
-        path, between, prev = [c], [], None
+        # c ends a path of black corners joined by bare edges
+        path, prev = [c], None
         while True:
-            step = [lk for lk in links[path[-1]] if lk[0] != prev]
+            step = [x for x in links[path[-1]] if x != prev]
             if not step:
                 break
             prev = path[-1]
-            path.append(step[0][0])
-            between.append(step[0][3])
+            path.append(step[0])
         walked.update(path)
         marks: list = []
         contacts: list = []
         taps: list = []
-        for far, e, end, run in runs[path[0]][:1]:
-            add_run(run, far, e, end, marks, contacts, taps, head=True)
-        for k, corner in enumerate(path):
+        for tail in runs[path[0]][:1]:
+            add_tail(*tail, marks, contacts, taps, head=True)
+        for corner in path:
             pos = len(marks)
             marks.append(mark[corner])
             contacts.append(0)
-            for e, end in _ARMS[corner]:
+            for e, end, x in _ARMS[corner]:
                 s = summaries[e]
-                x = EDGE_PAIRS[e][1 - end]
-                if not s.pattern:
+                if s.faces is None:
                     if not black[x]:
                         near_corner(x, pos, contacts, taps)
-                elif s.through is None and not s.tails[end]:
+                elif not s.tails[end]:
                     taps.append((pos, _face(s, e, end)))
-            if k < len(between):
-                marks.extend(between[k])
-                contacts.extend([0] * len(between[k]))
-        for far, e, end, run in runs[path[-1]][1 if len(path) == 1 else 0:]:
-            add_run(run, far, e, end, marks, contacts, taps)
+        for tail in runs[path[-1]][1 if len(path) == 1 else 0:]:
+            add_tail(*tail, marks, contacts, taps)
         chains.append((marks, contacts, taps))
     if len(walked) < len(links):
         return Verdict("chain")  # a cycle through the corners
 
-    # runs that meet no black corner are chains of their own
+    # tails that meet no black corner are chains of their own
     for e, s in enumerate(summaries):
-        i, j = EDGE_PAIRS[e]
-        if s.through is not None:
-            if not black[i] and not black[j]:
-                marks, contacts, taps = list(s.through), [0] * len(s.through), []
-                near_corner(i, 0, contacts, taps)
-                near_corner(j, len(marks) - 1, contacts, taps)
+        for end, c in enumerate(EDGE_PAIRS[e]):
+            if s.tails[end] and not black[c]:
+                marks, contacts, taps = [], [], []
+                add_tail(e, end, s.tails[end], marks, contacts, taps)
+                near_corner(c, 0, contacts, taps)
                 chains.append((marks, contacts, taps))
-        else:
-            for end, c in ((0, i), (1, j)):
-                if s.tails[end] and not black[c]:
-                    marks, contacts, taps = [], [], []
-                    add_run(s.tails[end], None, e, end, marks, contacts, taps)
-                    near_corner(c, 0, contacts, taps)
-                    chains.append((marks, contacts, taps))
 
     bad = False
     volumes = [s.inner_volume for s in summaries]

@@ -1,26 +1,25 @@
 """Search for minimal-volume certified surfaces over four weighted lines.
 
 Two modes.  The generic mode walks the full insertion tree up to a
-budget, deduplicating by canonical key; it is exhaustive, slow, and
-serves as the correctness oracle at small scale.  The CY mode builds
-final configurations edge by edge: every edge carries an insertion
-pattern whose final whites weigh exactly the total weight n (a "CY
-pattern", enumerated through the Stern-Brocot structure of the edge),
-and the assembly either keeps the boundary at weight 1 or steps exactly
-one white up to n + 1.  Certifying the assembled graphs and keeping the
-smallest volume reproduces the record hunts at desk scale.  A CY search
-enumerates each edge once, allowing one step, and splits that pass into
-the edge's CY and one-step lists; each CY pattern carries its
-``certify.EdgeSummary``.
+budget; it is exhaustive, slow, and serves as the correctness oracle at
+small scale.  The CY mode builds final configurations edge by edge:
+every edge carries an insertion pattern whose final whites weigh exactly
+the total weight n (a "CY pattern", enumerated through the Stern-Brocot
+structure of the edge), and the assembly either keeps the boundary at
+weight 1 or steps exactly one white up to n + 1.  Keeping the smallest
+certified volume reproduces the record hunts at desk scale; the
+(1,2,3,5) families are finite, and budgets 48 (interior) and 47
+(boundary) assemble all of them.  A CY search enumerates each edge once,
+allowing one step, into its CY and one-step tables of EdgeSummary.
 
 A form's one identity is its ``graph.canonical_key`` tuple, computed from
-the weights, the boundary and the edge content.  The CY scan deduplicates
-each combination on it, then judges it with ``certify.glue`` from the
-summaries of its six patterns, without building a graph.  Only the
-combinations it certifies (one in ten on the (1,2,3,5) record ladder)
-are built and certified in full, and certify must agree with the glue's
-volume and Picard rank or the search raises ArithmeticError.  The
-winners are built from their keys.
+the weights, the boundary and the edge content.  Both modes deduplicate
+each new form on it and hand it to ``_judge``, which runs ``certify.glue``
+on the summaries of its six edge patterns, without building a graph.
+Only the forms the glue certifies (one in ten on the (1,2,3,5) record
+ladder, 15 of 4,042 in the generic (0,1,1,1) walk at budget 8) are built
+from their keys and certified in full, and certify must agree with the
+glue's volume and Picard rank or the search raises ArithmeticError.
 
 The generic mode is one depth-first walk in one process.  The CY mode
 may fan out over worker processes: work is split into disjoint task
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .certify import EdgeSummary, SurfaceReport, Verdict, certify, edge_summary, glue
+from .certify import EdgeSummary, SurfaceReport, certify, edge_summary, glue
 from .graph import EDGE_PAIRS, VisibleGraph, canonical_key, new_base
 
 __all__ = [
@@ -58,8 +57,6 @@ Pattern = tuple[Pair, ...]
 
 GENERIC = "generic"
 CY_STEP_UP = "cy_step_up"
-
-_CORNERS = ("L0", "L1", "L2", "L3")
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,11 @@ def _edge_tables(
     w_a, w_b = Fraction(w_a), Fraction(w_b)
     if w_a < 0 or w_b < 0:
         raise ValueError("corner weights must be nonnegative")
-    pats = _interval_patterns((1, 0), (0, 1), w_a, w_b, Fraction(n), int(max_insertions), steps)
+    try:
+        pats = _interval_patterns((1, 0), (0, 1), w_a, w_b, Fraction(n), int(max_insertions), steps)
+    except RecursionError:  # one level per Stern-Brocot step: a lopsided ratio descends as deep as the budget
+        msg = f"edge with corner weights {w_a} and {w_b}: budget {max_insertions} descends past the recursion limit"
+        raise ValueError(msg) from None
     return tuple(sorted((p for p, s in pats if s == used), key=_pattern_key) for used in (0, 1))
 
 
@@ -202,20 +203,23 @@ Key = tuple[tuple, tuple]
 Certified = dict[Key, tuple[Fraction, int]]
 
 
-def _record(graph: VisibleGraph, key: Key, certified: Certified, verdict: Optional[Verdict] = None) -> None:
-    """Certify ``graph`` and keep its volume and rank under ``key`` when it
-    certifies.  With the glue's ``verdict`` of certified, certify must
-    agree with it on the verdict, the volume and the rank."""
-    report = certify(graph)
-    if verdict is not None and (
-        not report.certified or (report.volume, report.rho) != (verdict.volume, verdict.rho)
-    ):
+def _judge(
+    weights, boundary_index: Optional[int], summaries: list[EdgeSummary], key: Key, certified: Certified
+) -> None:
+    """Judge a new form by the glue on its edge summaries.  Only a form the
+    glue certifies is built, from its key, and certified in full; certify
+    must agree with the glue on the verdict, the volume and the rank, and
+    the form's volume and rank are then kept under ``key``."""
+    verdict = glue(weights, boundary_index, summaries)
+    if verdict.failed is not None:
+        return
+    report = certify(VisibleGraph.from_canonical_key(key))
+    if not report.certified or (report.volume, report.rho) != (verdict.volume, verdict.rho):
         raise ArithmeticError(
             f"glue certified volume {verdict.volume}, rho {verdict.rho}; certify says "
             f"{report.status}, volume {report.volume}, rho {report.rho} for {key!r}"
         )
-    if report.certified:
-        certified[key] = (report.volume, report.rho)
+    certified[key] = (verdict.volume, verdict.rho)
 
 
 def _select_best(
@@ -295,27 +299,29 @@ def generic_search(config: SearchConfig) -> SearchResult:
     """
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
-    base = new_base(config.weights, boundary=config.boundary_index)
+    weights, b_index = config.weights, config.boundary_index
     n = config.total_weight
     budget = config.max_blowups
-    key = base.canonical_key()
-    seen = {key}
+    seen: set[Key] = set()
     certified: Certified = {}
-    _record(base, key, certified)
-    stack = [base]
+    stack: list[VisibleGraph] = []
+
+    def reach(g: VisibleGraph) -> None:
+        content = g.edge_content()
+        key = canonical_key(weights, b_index, content)
+        if key not in seen:
+            seen.add(key)
+            _judge(weights, b_index, [edge_summary(tuple(content[pair])) for pair in EDGE_PAIRS], key, certified)
+            stack.append(g)
+
+    reach(new_base(weights, boundary=b_index))
     while stack:
         g = stack.pop()
         remaining = budget - g.blowups
         if remaining <= 0 or _mark_deficit(g, n) > 2 * remaining:
             continue
         for a, b in g.adjacent_pairs():
-            h = g.insert(a, b, f"n{g.blowups}")
-            key = h.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            _record(h, key, certified)
-            stack.append(h)
+            reach(g.insert(a, b, f"n{g.blowups}"))
     best, eligible = _select_best(certified, config.rho_filter)
     return SearchResult(
         best=best,
@@ -332,15 +338,15 @@ def generic_search(config: SearchConfig) -> SearchResult:
 
 
 def _cy_tables(config: SearchConfig):
-    """Per edge, the summaries of the CY patterns and the one-step pattern list.
+    """Per edge, the summaries of its CY and of its one-step patterns.
 
     Each edge is enumerated once; the tables go to every worker.
     """
     n, w = config.total_weight, config.weights
     cy, step = {}, {}
     for i, j in EDGE_PAIRS:
-        patterns, step[(i, j)] = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
-        cy[(i, j)] = [edge_summary(p) for p in patterns]
+        tables = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
+        cy[(i, j)], step[(i, j)] = ([edge_summary(p) for p in table] for table in tables)
     return cy, step
 
 
@@ -365,7 +371,9 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
     n = config.total_weight
     budget = config.max_blowups
     b_index = config.boundary_index
-    bd = None if b_index is None else _CORNERS[b_index]
+    # a task (e, k) fixes edge e to the k-th pattern of its first table:
+    # edge 0's CY table under a unit boundary, else the edge's one-step table
+    first = cy if _cy_case(config) == 3 else step
     seen: set[Key] = set()
     certified: Certified = {}
     # the summary of the pattern on each edge, in EDGE_PAIRS order
@@ -385,15 +393,10 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
     def finish(counts) -> None:
         if not corner_ok(counts):
             return
-        content = {edge: summary.pattern for edge, summary in zip(EDGE_PAIRS, chosen)}
-        key = canonical_key(weights, b_index, content)
-        if key in seen:
-            return
-        seen.add(key)
-        # the glue rejects most combinations; only the ones it certifies are built
-        verdict = glue(weights, b_index, chosen, counts)
-        if verdict.failed is None:
-            _record(VisibleGraph.from_edge_content(_CORNERS, weights, bd, content), key, certified, verdict)
+        key = canonical_key(weights, b_index, {edge: summary.pattern for edge, summary in zip(EDGE_PAIRS, chosen)})
+        if key not in seen:
+            seen.add(key)
+            _judge(weights, b_index, chosen, key, certified)
 
     def scan(free: list[int], k: int, counts, left: int) -> None:
         if k == len(free):
@@ -413,10 +416,9 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
             counts[i] -= ti
             counts[j] -= tj
 
-    for special, idx in tasks:
-        e = 0 if special is None else special
+    for e, idx in tasks:
         edge = EDGE_PAIRS[e]
-        chosen[e] = cy[edge][idx] if special is None else edge_summary(step[edge][idx])
+        chosen[e] = first[edge][idx]
         counts = [0, 0, 0, 0]
         counts[edge[0]], counts[edge[1]] = chosen[e].touches
         scan([f for f in range(6) if f != e], 0, counts, budget - len(chosen[e].pattern))
@@ -435,7 +437,7 @@ def cy_step_up_search(config: SearchConfig) -> SearchResult:
     case = _cy_case(config)
     cy, step = _cy_tables(config)
     if case == 3:
-        tasks = [(None, k) for k in range(len(cy[EDGE_PAIRS[0]]))]
+        tasks = [(0, k) for k in range(len(cy[EDGE_PAIRS[0]]))]
     else:
         tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
     seen, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)

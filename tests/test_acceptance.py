@@ -134,6 +134,24 @@ def test_boundary_record_462_is_its_family_minimum():
         assert beyond.forms() == saturated.forms()
 
 
+def test_interior_record_48983_is_its_family_minimum():
+    """The interior (1,2,3,5) CY family is finite as well: budget 48 is the
+    first that assembles all of it, five more blowups add nothing, and the
+    minimum over the whole family is still 1/48983."""
+    with deadline(120.0):
+        below, saturated, beyond = (
+            run_search(SearchConfig(weights=(1, 2, 3, 5), max_blowups=b, jobs=2))
+            for b in (47, 48, 53)
+        )
+        assert below.explored["assembled"] == 33540
+        assert saturated.minimum == Fraction(1, 48983)
+        assert saturated.explored["assembled"] == 33546
+        assert saturated.explored["certified"] == 3062
+        assert len(saturated.best) == 7
+        assert beyond.explored == saturated.explored
+        assert beyond.forms() == saturated.forms()
+
+
 def test_criterion_04_interior_record_48983():
     with deadline(3600.0):
         result = run_search(
@@ -337,6 +355,10 @@ def test_criterion_10d_chain_marks_match_closed_form_determinants():
 
 
 def test_criterion_10e_generic_search_matches_brute_force():
+    """The generic walk certifies only the forms the glue passes; brute
+    force certifies every reachable graph with certify alone.  Equal
+    minima and certified counts make this the end-to-end oracle for the
+    glue on generic walks, and a false rejection would lose a form."""
     for budget in (5, 6, 7):
         cfg = SearchConfig(
             weights=(0, 1, 1, 1),

@@ -71,24 +71,29 @@ def test_discrepancy_residual_check_survives_python_O():
 
 
 def test_search_out_files_identical_under_python_O(capsys, tmp_path):
-    """The glue-filtered search writes the same --out files with asserts
-    stripped: with a unit boundary (every edge CY) and in the interior
-    record search, where one edge steps a white up."""
-    for name, options in (("boundary", ["--boundary", "--max-blowups", "12"]), ("interior", ["--max-blowups", "22"])):
-        argv = ["search", "--weights", "1,2,3,5", *options, "--out"]
+    """The glue-judged searches write the same --out files with asserts
+    stripped: with a unit boundary (every edge CY), in the interior record
+    search, where one edge steps a white up, and in a generic walk that
+    certifies 3 forms; each with its number of winners."""
+    for name, options, winners in (
+        ("boundary", ["--weights", "1,2,3,5", "--boundary", "--max-blowups", "12"], 2),
+        ("interior", ["--weights", "1,2,3,5", "--max-blowups", "22"], 3),
+        ("generic", ["--mode", "generic", "--weights", "0,1,1,1", "--boundary", "--max-blowups", "7"], 1),
+    ):
+        argv = ["search", *options, "--out"]
         assert run(capsys, *argv, str(tmp_path / name / "plain"))[0] == 0
         proc = run_optimized("-m", "fourlines.cli", *argv, str(tmp_path / name / "optimized"))
         assert proc.returncode == 0, proc.stderr
         plain, optimized = (
             {p.name: p.read_bytes() for p in (tmp_path / name / d).iterdir()} for d in ("plain", "optimized")
         )
-        assert len(plain) >= 4
+        assert len(plain) == 2 * winners
         assert optimized == plain
 
 
 def test_glue_disagreement_raises_under_python_O():
     """A survivor whose glue volume differs from certify's stops the search,
-    with asserts stripped."""
+    with asserts stripped, in the CY scan and in the generic walk."""
     script = (
         "import sys\n"
         "from fourlines import search\n"
@@ -97,14 +102,18 @@ def test_glue_disagreement_raises_under_python_O():
         "    verdict = real(*args)\n"
         "    return verdict if verdict.failed else verdict._replace(volume=verdict.volume + 1)\n"
         "search.glue = wrong\n"
-        "try:\n"
-        "    search.run_search(search.SearchConfig((1, 2, 3, 5), boundary=True, max_blowups=12))\n"
-        "except ArithmeticError as exc:\n"
-        "    print('raised', sys.flags.optimize, 'glue certified volume' in str(exc))\n"
+        "for config in (\n"
+        "    search.SearchConfig((1, 2, 3, 5), boundary=True, max_blowups=12),\n"
+        "    search.SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode='generic'),\n"
+        "):\n"
+        "    try:\n"
+        "        search.run_search(config)\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', sys.flags.optimize, 'glue certified volume' in str(exc))\n"
     )
     proc = run_optimized("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "1", "True"]
+    assert proc.stdout.split() == ["raised", "1", "True"] * 2
 
 
 def test_verify_json_report(capsys):
@@ -277,6 +286,16 @@ def test_search_zero_total_weight_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "total weight" in err
+
+
+def test_search_too_deep_a_descent_exits_1(capsys):
+    """A 1:1000 corner ratio lets one edge's Stern-Brocot descent run as
+    deep as the budget; past the recursion limit that is a usage error."""
+    code, out, err = run(capsys, "search", "--weights", "1,1000,1000,1000", "--max-blowups", "1000")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: edge with corner weights 1 and 1000: budget 1000 descends past")
 
 
 def test_invisible_requires_certified_graph(capsys):

@@ -341,13 +341,13 @@ def test_one_pass_edge_tables_equal_the_public_enumerators():
         cy, step = _cy_tables(config)
         for i, j in EDGE_PAIRS:
             assert [s.pattern for s in cy[(i, j)]] == cy_edge_enumerate(weights[i], weights[j], n, budget)
-            assert step[(i, j)] == step_edge_enumerate(weights[i], weights[j], n, budget)
+            assert [s.pattern for s in step[(i, j)]] == step_edge_enumerate(weights[i], weights[j], n, budget)
             with_steps += bool(step[(i, j)])
             # the split itself: whites at n, plus exactly one at n + 1 on the step side
             for summary in cy[(i, j)]:
                 assert all(w == n for w in white_weights(summary.pattern, weights[i], weights[j]))
-            for pattern in step[(i, j)]:
-                whites = white_weights(pattern, weights[i], weights[j])
+            for summary in step[(i, j)]:
+                whites = white_weights(summary.pattern, weights[i], weights[j])
                 assert whites.count(n + 1) == 1 and whites.count(n) == len(whites) - 1
     assert with_steps > 100
 
@@ -377,14 +377,15 @@ def first_failed(report):
     return "degree" if "negative canonical degree" in reason else "weights"
 
 
-def search_combinations(config) -> list:
-    """(weights, boundary index, patterns, counts) of every combination
-    the CY search hands the glue: each assembled form once."""
+def glue_calls(config) -> list:
+    """(weights, boundary index, patterns) of every form a search hands
+    the glue: in the CY mode each assembled combination once, in the
+    generic mode each form the walk reaches once."""
     calls = []
 
-    def recording(weights, boundary_index, summaries, counts):
-        calls.append((weights, boundary_index, tuple(s.pattern for s in summaries), tuple(counts)))
-        return real(weights, boundary_index, summaries, counts)
+    def recording(weights, boundary_index, summaries):
+        calls.append((weights, boundary_index, tuple(s.pattern for s in summaries)))
+        return real(weights, boundary_index, summaries)
 
     real = searchmod.glue
     searchmod.glue = recording
@@ -392,39 +393,14 @@ def search_combinations(config) -> list:
         result = run_search(config)
     finally:
         searchmod.glue = real
-    assert len(calls) == result.explored["assembled"]
+    assert len(calls) == result.explored["explored" if config.mode == "generic" else "assembled"]
     return calls
 
 
-def walked_graphs(config) -> list:
-    """The same for every graph the generic walk certifies: each form it reaches."""
-    graphs = []
-
-    def recording(graph, *args):
-        graphs.append(graph)
-        return real(graph, *args)
-
-    real = searchmod._record
-    searchmod._record = recording
-    try:
-        result = run_search(config)
-    finally:
-        searchmod._record = real
-    assert len(graphs) == result.explored["explored"]
-    return [content_of(g) for g in graphs]
-
-
 def content_of(g: VisibleGraph) -> tuple:
-    """(weights, boundary index, patterns, counts) of a graph: its
-    patterns in EDGE_PAIRS order and its corner touch counts."""
-    patterns = tuple(edge_content(g)[pair] for pair in EDGE_PAIRS)
-    counts = [0, 0, 0, 0]
-    for (i, j), pattern in zip(EDGE_PAIRS, patterns):
-        ti, tj = edge_summary(pattern).touches
-        counts[i] += ti
-        counts[j] += tj
+    """(weights, boundary index, patterns) of a graph, its patterns in EDGE_PAIRS order."""
     boundary_index = None if g.boundary is None else g.corners.index(g.boundary)
-    return g.initial_weights, boundary_index, patterns, tuple(counts)
+    return g.initial_weights, boundary_index, tuple(edge_content(g)[pair] for pair in EDGE_PAIRS)
 
 
 def test_glue_agrees_with_certify():
@@ -435,34 +411,34 @@ def test_glue_agrees_with_certify():
     ones with white corners; all of these again under random weights
     and boundaries; and random insertion graphs.  A false rejection
     would lose a form."""
-    cases = search_combinations(SearchConfig((1, 2, 3, 5), max_blowups=22))
+    cases = glue_calls(SearchConfig((1, 2, 3, 5), max_blowups=22))
     assert len(cases) == 2913
     for a in range(1, 7):
         for b in range(a, 7):
             for c in range(b, 7):
-                cases += search_combinations(SearchConfig((1, a, b, c), boundary=True, max_blowups=12))
-    cases += walked_graphs(SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic"))
+                cases += glue_calls(SearchConfig((1, a, b, c), boundary=True, max_blowups=12))
+    cases += glue_calls(SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic"))
     rng = random.Random(4711)
     choices = (0, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
-    for _, boundary_index, patterns, counts in cases[:]:
+    for _, boundary_index, patterns in cases[:]:
         weights = [rng.choice(choices) for _ in range(4)]
         boundary_index = rng.choice((None, boundary_index))
         if boundary_index is not None and rng.random() < 0.2:
             weights[boundary_index] = -1  # fails the boundary's own weight condition
-        cases.append((weights, boundary_index, patterns, counts))
+        cases.append((weights, boundary_index, patterns))
     for _ in range(2000):
         weights = [rng.choice(choices) for _ in range(4)]
         cases.append(content_of(grow(rng, weights, rng.choice((None, 0, 1, 2, 3)), 14)))
 
     seen = {check: 0 for check in (None,) + CHECKS}
     mismatches = []
-    for weights, boundary_index, patterns, counts in cases:
+    for weights, boundary_index, patterns in cases:
         boundary = None if boundary_index is None else f"L{boundary_index}"
         g = VisibleGraph.from_edge_content(
             ("L0", "L1", "L2", "L3"), weights, boundary, dict(zip(EDGE_PAIRS, patterns))
         )
         report = certify(g)
-        verdict = glue(weights, boundary_index, [edge_summary(p) for p in patterns], counts)
+        verdict = glue(weights, boundary_index, [edge_summary(p) for p in patterns])
         expected = first_failed(report)
         seen[expected] += 1
         if verdict.failed != expected or (

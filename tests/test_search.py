@@ -34,6 +34,8 @@ def brute_force(weights, boundary, budget):
     """Certify every graph some insertion sequence up to the budget reaches.
 
     Returns (minimal volume or None, set of certified canonical forms).
+    It runs ``certify`` on built graphs and never the glue, which the
+    generic search judges its forms by; so it checks the glue end to end.
     Graphs of one base with equal labelled edge content are equal up to
     vertex ids, and so are their subtrees and certificates; the walk
     visits each content once.  That memo is independent of
