@@ -25,7 +25,12 @@ The generic mode is one depth-first walk in one process.  The CY mode
 may fan out over worker processes: work is split into disjoint task
 blocks whose results merge as plain set unions keyed by canonical key,
 so the output is identical for every worker count.  The CY tables are
-built once per search and handed to every worker.
+built once per search and handed to every worker.  A task fixes one
+edge's pattern and is the first level of one scan over the six edges;
+every level applies its pattern's corner touches and insertions alike,
+and a combination is keyed and judged only if each corner has the
+touches its mark needs.  Both modes end in ``_result``, which builds
+the least-volume forms from their keys.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ def _interval_patterns(
     interval whose two ends weigh 0 holds only whites of weight 0.
     """
     out: list[tuple[Pattern, int]] = [((), 0)]
-    if budget < 1 or (wlo == whi == 0 and n > 0):
+    if budget < 1 or wlo == whi == 0:
         return out
     wm = wlo + whi
     if wm > n + steps:
@@ -168,6 +173,8 @@ def _edge_tables(
     w_a, w_b = Fraction(w_a), Fraction(w_b)
     if w_a < 0 or w_b < 0:
         raise ValueError("corner weights must be nonnegative")
+    if n <= 0:  # at n = 0 every mediant of two zero corners is a white at n: the tables never stop growing
+        raise ValueError(f"total weight {n} must be positive")
     try:
         pats = _interval_patterns((1, 0), (0, 1), w_a, w_b, Fraction(n), int(max_insertions), steps)
     except RecursionError:  # one level per Stern-Brocot step: a lopsided ratio descends as deep as the budget
@@ -222,25 +229,16 @@ def _judge(
     certified[key] = (verdict.volume, verdict.rho)
 
 
-def _select_best(
-    certified: Certified, rho_filter: Optional[int]
-) -> tuple[list[tuple[VisibleGraph, SurfaceReport]], int]:
-    """The least-volume forms, built from their keys in ``repr`` order:
-    the order of their ``canonical_form``, which numbers ``--out`` files."""
-    eligible = {
-        key: vol
-        for key, (vol, rho) in certified.items()
-        if rho_filter is None or rho == rho_filter
-    }
-    if not eligible:
-        return [], 0
-    vmin = min(eligible.values())
+def _result(certified: Certified, rho_filter: Optional[int], **counts: int) -> SearchResult:
+    """The least-volume forms, built from their keys in ``repr`` order: the
+    order of their ``canonical_form``, which numbers ``--out`` files.  The
+    counters ``certified``, ``eligible`` and ``best`` follow ``counts``."""
+    eligible = {key: vol for key, (vol, rho) in certified.items() if rho_filter is None or rho == rho_filter}
+    vmin = min(eligible.values(), default=None)
     winners = sorted((key for key, vol in eligible.items() if vol == vmin), key=repr)
-    best = []
-    for key in winners:
-        g = VisibleGraph.from_canonical_key(key)
-        best.append((g, certify(g)))
-    return best, len(eligible)
+    best = [(g, certify(g)) for g in map(VisibleGraph.from_canonical_key, winners)]
+    explored = {**counts, "certified": len(certified), "eligible": len(eligible), "best": len(best)}
+    return SearchResult(best=best, explored=explored)
 
 
 def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
@@ -322,16 +320,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
             continue
         for a, b in g.adjacent_pairs():
             reach(g.insert(a, b, f"n{g.blowups}"))
-    best, eligible = _select_best(certified, config.rho_filter)
-    return SearchResult(
-        best=best,
-        explored={
-            "explored": len(seen),
-            "certified": len(certified),
-            "eligible": eligible,
-            "best": len(best),
-        },
-    )
+    return _result(certified, config.rho_filter, explored=len(seen))
 
 
 # -- CY step-up mode ------------------------------------------------------
@@ -352,9 +341,6 @@ def _cy_tables(config: SearchConfig):
 
 def _cy_case(config: SearchConfig) -> int:
     """3 = keep the unit boundary and stay CY; 2 = step one white up."""
-    if config.total_weight == 0:
-        # no white can then reach n + 1 = 1, and every mediant is CY
-        raise ValueError("cy_step_up mode needs a nonzero total weight")
     if config.boundary:
         w0 = config.weights[0]
         if w0 == 1:
@@ -369,42 +355,30 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
     (config, cy, step), tasks = args
     weights = config.weights
     n = config.total_weight
-    budget = config.max_blowups
     b_index = config.boundary_index
     # a task (e, k) fixes edge e to the k-th pattern of its first table:
     # edge 0's CY table under a unit boundary, else the edge's one-step table
     first = cy if _cy_case(config) == 3 else step
+    # the touches each corner needs, its mark plus one: the boundary none;
+    # a corner weighing n or more may stay white (mark 1), a lighter one
+    # must turn black (mark 2)
+    need = [0 if c == b_index else 2 if weights[c] >= n else 3 for c in range(4)]
     seen: set[Key] = set()
     certified: Certified = {}
     # the summary of the pattern on each edge, in EDGE_PAIRS order
     chosen: list[Optional[EdgeSummary]] = [None] * 6
 
-    def corner_ok(counts) -> bool:
-        for c in range(4):
-            if c == b_index:
-                continue
-            mark = -1 + counts[c]
-            if mark <= 0:
-                return False
-            if mark == 1 and weights[c] < n:
-                return False
-        return True
-
-    def finish(counts) -> None:
-        if not corner_ok(counts):
+    def scan(levels: list[tuple[int, list[EdgeSummary]]], k: int, counts: list[int], left: int) -> None:
+        if k == len(levels):
+            if all(map(int.__ge__, counts, need)):
+                key = canonical_key(weights, b_index, {edge: s.pattern for edge, s in zip(EDGE_PAIRS, chosen)})
+                if key not in seen:
+                    seen.add(key)
+                    _judge(weights, b_index, chosen, key, certified)
             return
-        key = canonical_key(weights, b_index, {edge: summary.pattern for edge, summary in zip(EDGE_PAIRS, chosen)})
-        if key not in seen:
-            seen.add(key)
-            _judge(weights, b_index, chosen, key, certified)
-
-    def scan(free: list[int], k: int, counts, left: int) -> None:
-        if k == len(free):
-            finish(counts)
-            return
-        e = free[k]
-        edge = i, j = EDGE_PAIRS[e]
-        for summary in cy[edge]:
+        e, table = levels[k]
+        i, j = EDGE_PAIRS[e]
+        for summary in table:
             size = len(summary.pattern)
             if size > left:
                 break  # patterns are sorted by size
@@ -412,16 +386,13 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
             counts[i] += ti
             counts[j] += tj
             chosen[e] = summary
-            scan(free, k + 1, counts, left - size)
+            scan(levels, k + 1, counts, left - size)
             counts[i] -= ti
             counts[j] -= tj
 
     for e, idx in tasks:
-        edge = EDGE_PAIRS[e]
-        chosen[e] = first[edge][idx]
-        counts = [0, 0, 0, 0]
-        counts[edge[0]], counts[edge[1]] = chosen[e].touches
-        scan([f for f in range(6) if f != e], 0, counts, budget - len(chosen[e].pattern))
+        levels = [(e, first[EDGE_PAIRS[e]][idx : idx + 1])] + [(f, cy[EDGE_PAIRS[f]]) for f in range(6) if f != e]
+        scan(levels, 0, [0, 0, 0, 0], config.max_blowups)
     return seen, certified
 
 
@@ -441,19 +412,8 @@ def cy_step_up_search(config: SearchConfig) -> SearchResult:
     else:
         tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
     seen, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)
-    best, eligible = _select_best(certified, config.rho_filter)
-    return SearchResult(
-        best=best,
-        explored={
-            "edge_patterns": sum(len(v) for v in cy.values())
-            + sum(len(v) for v in step.values()),
-            "tasks": len(tasks),
-            "assembled": len(seen),
-            "certified": len(certified),
-            "eligible": eligible,
-            "best": len(best),
-        },
-    )
+    edge_patterns = sum(len(v) for v in cy.values()) + sum(len(v) for v in step.values())
+    return _result(certified, config.rho_filter, edge_patterns=edge_patterns, tasks=len(tasks), assembled=len(seen))
 
 
 def run_search(config: SearchConfig) -> SearchResult:

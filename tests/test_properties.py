@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -350,6 +351,62 @@ def test_one_pass_edge_tables_equal_the_public_enumerators():
                 whites = white_weights(summary.pattern, weights[i], weights[j])
                 assert whites.count(n + 1) == 1 and whites.count(n) == len(whites) - 1
     assert with_steps > 100
+
+
+def parent_closed_sets(budget: int) -> list[frozenset]:
+    """Every parent-closed set of Stern-Brocot pairs with at most ``budget``
+    members, grown from the bare edge by inserting a mediant between any
+    two neighbours of its path, with no weight pruning."""
+    paths = level = {((1, 0), (0, 1))}
+    for _ in range(budget):
+        level = {
+            path[: k + 1] + ((a1 + b1, a2 + b2),) + path[k + 1 :]
+            for path in level
+            for k, ((a1, a2), (b1, b2)) in enumerate(zip(path, path[1:]))
+        }
+        paths |= level
+    return [frozenset(path[1:-1]) for path in paths]
+
+
+def test_edge_tables_equal_brute_force():
+    """The pruned enumerators against every parent-closed set up to budget
+    8 (2,056 of them) filtered by white weights: all at n for a CY table;
+    exactly one at n + 1 and the rest at n for a one-step table."""
+    budget = 8
+    sets = parent_closed_sets(budget)
+    assert len(sets) == sum(comb(2 * k, k) // (k + 1) for k in range(budget + 1))  # Catalan numbers
+    whites = []
+    for members in sets:
+        parents = {p for m in members for p in _stern_brocot_parents(*m)}
+        whites.append((members, [m for m in members if m not in parents]))
+    pairs = set().union(*sets)
+    rng = random.Random(2718)
+    choices = (0, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+    edges = with_cy = with_steps = 0
+    while edges < 200:
+        w_a, w_b = rng.choice(choices), rng.choice(choices)
+        # a total weight that some white reaches, or one less
+        n = rng.randint(0, 5) * w_a + rng.randint(0, 5) * w_b - rng.choice((0, 1))
+        if n <= 0:
+            continue
+        edges += 1
+        # 0 for a pair at n, 1 at n + 1, 2 elsewhere
+        level = {}
+        for m1, m2 in pairs:
+            w = m1 * w_a + m2 * w_b
+            level[(m1, m2)] = 0 if w == n else 1 if w == n + 1 else 2
+        cy, step = set(), set()
+        for members, ws in whites:
+            off = [level[m] for m in ws if level[m]]
+            if not off:
+                cy.add(members)
+            elif off == [1]:
+                step.add(members)
+        assert {frozenset(p) for p in cy_edge_enumerate(w_a, w_b, n, budget)} == cy
+        assert {frozenset(p) for p in step_edge_enumerate(w_a, w_b, n, budget)} == step
+        with_cy += len(cy) > 1  # more than the empty pattern
+        with_steps += bool(step)
+    assert with_cy >= 100 and with_steps >= 100
 
 
 # -- the glue ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fourlines import search as searchmod
-from fourlines.certify import certify, edge_summary
+from fourlines.certify import certify, classify_near_cy, edge_summary
 from fourlines.graph import EDGE_PAIRS, VisibleGraph, _stern_brocot_parents, new_base, parse, serialize
 from fourlines.search import (
     SearchConfig,
@@ -175,6 +175,17 @@ def test_zero_weight_edge_returns_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_edge_enumerators_reject_zero_total_weight():
+    # at n = 0 every mediant of two zero corners is a white at n, so the
+    # tables would grow about 4x per insertion allowed
+    for enumerate_edge in (cy_edge_enumerate, step_edge_enumerate):
+        for w_a, w_b in ((1, 2), (0, 0)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="total weight"):
+                enumerate_edge(w_a, w_b, 0, 24)
+            assert time.perf_counter() - start < 0.1
+
+
 def test_cy_search_rejects_zero_total_weight(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated an edge")
@@ -331,6 +342,43 @@ def test_generic_finds_smallest_boundary_surface():
     assert str(rep.near_cy).startswith("one_step")
 
 
+def certified_keys(config) -> set:
+    """The keys of every form a search certifies, read off ``_judge``."""
+    keys = set()
+    judge = searchmod._judge
+
+    def recording(weights, boundary_index, summaries, key, certified):
+        judge(weights, boundary_index, summaries, key, certified)
+        if key in certified:
+            keys.add(key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(searchmod, "_judge", recording)
+        run_search(config)
+    return keys
+
+
+@pytest.mark.parametrize(
+    "weights,budget", [((0, 1, 1, 1), 8), ((0, 0, 1, 1), 7), ((0, 0, 0, 1), 7), ((1, 1, 1, 2), 7)]
+)
+def test_cy_search_certifies_every_cy_shaped_generic_form(weights, budget):
+    """Completeness of the CY assembly: it certifies exactly those forms of
+    the exhaustive walk whose report has its shape, every white at n under
+    a unit boundary, else one non-corner white at n + 1 and the rest at n."""
+    cy = certified_keys(SearchConfig(weights, boundary=True, max_blowups=budget))
+    generic = certified_keys(SearchConfig(weights, boundary=True, max_blowups=budget, mode="generic"))
+
+    def cy_shaped(key) -> bool:
+        g = VisibleGraph.from_canonical_key(key)
+        near = classify_near_cy(g)
+        if weights[0] == 1:
+            return near.kind == "boundary_unit"
+        return near.kind == "one_step" and not g.is_corner(near.vertex)
+
+    assert cy
+    assert cy == {key for key in generic if cy_shaped(key)}
+
+
 def test_cy_results_subset_of_generic():
     kwargs = dict(weights=(0, 1, 1, 1), boundary=True, max_blowups=7)
     gen = generic_search(SearchConfig(mode="generic", **kwargs))
@@ -354,6 +402,22 @@ def test_cy_search_boundary_weight_zero():
     assert rep.epsilon1 == Fraction(13, 60)
     assert rep.certified
     assert any(g.blowups == 7 for g, _ in res.best)
+
+
+def test_cy_search_heavy_corner_may_stay_white():
+    """A corner weighing n or more needs two touches (mark 1), a lighter
+    one three (mark 2).  Of (0,0,0,1) only corner 3 weighs n = 1; asking
+    three touches of it too assembles 56 forms instead of 86."""
+    res = cy_step_up_search(SearchConfig((0, 0, 0, 1), boundary=True, max_blowups=10))
+    assert res.explored == {
+        "edge_patterns": 171,
+        "tasks": 135,
+        "assembled": 86,
+        "certified": 14,
+        "eligible": 14,
+        "best": 1,
+    }
+    assert res.minimum == Fraction(1, 10)
 
 
 def test_cy_search_boundary_unit():
