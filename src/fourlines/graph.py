@@ -360,16 +360,12 @@ class VisibleGraph:
 
     # -- canonical form ----------------------------------------------------
 
-    def edge_content(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """The multiplicity pairs on each edge of EDGE_PAIRS, in insertion order."""
+    def canonical_key(self) -> tuple[tuple, tuple]:
+        """``canonical_key`` of this graph's weights, boundary and edge content."""
         content: dict[tuple[int, int], list] = {pair: [] for pair in EDGE_PAIRS}
         for v, edge in self._edge.items():
             content[edge].append(self._frac[v])
-        return content
-
-    def canonical_key(self) -> tuple[tuple, tuple]:
-        """``canonical_key`` of this graph's weights, boundary and edge content."""
-        return canonical_key(self.initial_weights, self._cindex.get(self.boundary), self.edge_content())
+        return canonical_key(self.initial_weights, self._cindex.get(self.boundary), content)
 
     def canonical_form(self) -> str:
         """Label-independent encoding, minimized over corner relabelings.

@@ -1,16 +1,16 @@
 """Search for minimal-volume certified surfaces over four weighted lines.
 
-Two modes.  The generic mode walks the full insertion tree up to a
-budget; it is exhaustive, slow, and serves as the correctness oracle at
-small scale.  The CY mode builds final configurations edge by edge:
-every edge carries an insertion pattern whose final whites weigh exactly
-the total weight n (a "CY pattern", enumerated through the Stern-Brocot
-structure of the edge), and the assembly either keeps the boundary at
-weight 1 or steps exactly one white up to n + 1.  Keeping the smallest
-certified volume reproduces the record hunts at desk scale; the
-(1,2,3,5) families are finite, and budgets 48 (interior) and 47
-(boundary) assemble all of them.  A CY search enumerates each edge once,
-allowing one step, into its CY and one-step tables of EdgeSummary.
+Two modes.  The generic mode grows the six edge patterns one insertion
+at a time up to a budget; it is exhaustive, slow, and serves as the
+correctness oracle at small scale.  The CY mode builds final
+configurations edge by edge: every edge carries an insertion pattern
+whose final whites weigh exactly the total weight n (a "CY pattern",
+enumerated through the Stern-Brocot structure of the edge), and the
+assembly either keeps the boundary at weight 1 or steps exactly one
+white up to n + 1.  Keeping the smallest certified volume reproduces the
+record hunts at desk scale; the (1,2,3,5) families are finite, and
+budgets 48 (interior) and 47 (boundary) assemble all of them.  A CY
+search enumerates each edge once into its CY and one-step tables.
 
 A form's one identity is its ``graph.canonical_key`` tuple, computed from
 the weights, the boundary and the edge content.  Both modes deduplicate
@@ -28,9 +28,9 @@ so the output is identical for every worker count.  The CY tables are
 built once per search and handed to every worker.  A task fixes one
 edge's pattern and is the first level of one scan over the six edges;
 every level applies its pattern's corner touches and insertions alike,
-and a combination is keyed and judged only if each corner has the
-touches its mark needs.  Both modes end in ``_result``, which builds
-the least-volume forms from their keys.
+and a combination is keyed only if each corner has the touches
+``_corner_need`` asks; the generic walk prunes by the same rule.  Both
+modes end in ``_result``, which builds the least-volume forms from their keys.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .certify import EdgeSummary, SurfaceReport, certify, edge_summary, glue
-from .graph import EDGE_PAIRS, VisibleGraph, canonical_key, new_base
+from .graph import EDGE_PAIRS, VisibleGraph, canonical_key
 
 __all__ = [
     "GENERIC",
@@ -90,6 +90,8 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.total_weight <= 0:  # the weight test's c_v = w_v/n - 1 needs n > 0
+            raise ValueError(f"total weight {self.total_weight} must be positive")
 
     @property
     def total_weight(self) -> Fraction:
@@ -269,57 +271,62 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
 # -- generic mode ---------------------------------------------------------
 
 
-def _mark_deficit(graph: VisibleGraph, n: Fraction) -> int:
-    """Mark increments still required before the graph could certify.
+def _corner_need(weights, boundary_index: Optional[int]) -> list[int]:
+    """The touches each corner needs, its mark plus one: none for the boundary,
+    2 for a corner weighing n or more, which may stay white, else 3."""
+    n = sum(weights)
+    return [0 if c == boundary_index else 2 if weights[c] >= n else 3 for c in range(4)]
 
-    A vertex of weight below n must turn black (mark 2); one at or
-    above n may stay white (mark 1).  Each insertion raises existing
-    marks by exactly two in total, giving an admissible lower bound on
-    the insertions left.
-    """
-    need = 0
-    for v in graph.vertices:
-        if v == graph.boundary:
-            continue
-        target = 1 if graph.weight(v) >= n else 2
-        m = graph.mark(v)
-        if m < target:
-            need += target - m
-    return need
+
+def _mark_deficit(weights, need: list[int], summaries) -> int:
+    """Mark increments a form lacks before it could certify (an insertion
+    adds two): the touches of ``need`` each corner has not got, and one for
+    each interior white lighter than n, which must turn black."""
+    n = sum(weights)
+    counts = [0, 0, 0, 0]
+    deficit = 0
+    for (i, j), s in zip(EDGE_PAIRS, summaries):
+        counts[i] += s.touches[0]
+        counts[j] += s.touches[1]
+        deficit += sum(m1 * weights[i] + m2 * weights[j] < n for m1, m2 in s.whites)
+    return deficit + sum(max(0, k - c) for k, c in zip(need, counts))
 
 
 def generic_search(config: SearchConfig) -> SearchResult:
     """Exhaustive insertion-tree search modulo canonical-key dedup.
 
     One depth-first walk with one ``seen`` set; ``config.jobs`` has no
-    effect.  Pruning and the children of a graph depend only on its
-    canonical key, so the forms reached do not depend on walk order.
+    effect.  A child inserts the mediant of two neighbours on one edge's
+    path, (1, 0) to (0, 1).  Pruning and the children of a form depend
+    only on its canonical key, so the forms reached do not depend on walk order.
     """
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
     weights, b_index = config.weights, config.boundary_index
-    n = config.total_weight
-    budget = config.max_blowups
+    need = _corner_need(weights, b_index)
     seen: set[Key] = set()
     certified: Certified = {}
-    stack: list[VisibleGraph] = []
+    stack: list[tuple[EdgeSummary, ...]] = []
 
-    def reach(g: VisibleGraph) -> None:
-        content = g.edge_content()
-        key = canonical_key(weights, b_index, content)
+    def reach(summaries: tuple[EdgeSummary, ...]) -> None:
+        key = canonical_key(weights, b_index, {pair: s.pattern for pair, s in zip(EDGE_PAIRS, summaries)})
         if key not in seen:
             seen.add(key)
-            _judge(weights, b_index, [edge_summary(tuple(content[pair])) for pair in EDGE_PAIRS], key, certified)
-            stack.append(g)
+            _judge(weights, b_index, summaries, key, certified)
+            stack.append(summaries)
 
-    reach(new_base(weights, boundary=b_index))
+    reach((edge_summary(()),) * 6)
     while stack:
-        g = stack.pop()
-        remaining = budget - g.blowups
-        if remaining <= 0 or _mark_deficit(g, n) > 2 * remaining:
+        summaries = stack.pop()
+        remaining = config.max_blowups - sum(len(s.pattern) for s in summaries)
+        if remaining <= 0 or _mark_deficit(weights, need, summaries) > 2 * remaining:
             continue
-        for a, b in g.adjacent_pairs():
-            reach(g.insert(a, b, f"n{g.blowups}"))
+        for e, s in enumerate(summaries):
+            path = ((1, 0), *s.pattern, (0, 1))
+            for k in range(len(path) - 1):
+                (a1, a2), (b1, b2) = path[k], path[k + 1]
+                child = edge_summary(s.pattern[:k] + ((a1 + b1, a2 + b2),) + s.pattern[k:])
+                reach(summaries[:e] + (child,) + summaries[e + 1 :])
     return _result(certified, config.rho_filter, explored=len(seen))
 
 
@@ -354,15 +361,11 @@ def _cy_case(config: SearchConfig) -> int:
 def _cy_worker(args) -> tuple[set[Key], Certified]:
     (config, cy, step), tasks = args
     weights = config.weights
-    n = config.total_weight
     b_index = config.boundary_index
     # a task (e, k) fixes edge e to the k-th pattern of its first table:
     # edge 0's CY table under a unit boundary, else the edge's one-step table
     first = cy if _cy_case(config) == 3 else step
-    # the touches each corner needs, its mark plus one: the boundary none;
-    # a corner weighing n or more may stay white (mark 1), a lighter one
-    # must turn black (mark 2)
-    need = [0 if c == b_index else 2 if weights[c] >= n else 3 for c in range(4)]
+    need = _corner_need(weights, b_index)
     seen: set[Key] = set()
     certified: Certified = {}
     # the summary of the pattern on each edge, in EDGE_PAIRS order

@@ -288,6 +288,18 @@ def test_search_zero_total_weight_exits_1(capsys):
     assert "total weight" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("--weights", "0,0,0,0", "--boundary", "--max-blowups", "7"), ("--weights=-1,0,0,1", "--max-blowups", "7")]
+)
+def test_generic_search_nonpositive_total_weight_exits_1(capsys, argv):
+    """The weight test's coefficients w_v/n - 1 need n > 0, in the generic
+    mode as in the CY mode, so a walk at n <= 0 would certify nothing."""
+    code, out, err = run(capsys, "search", *argv, "--mode", "generic")
+    assert code == 1
+    assert out == ""
+    assert "total weight" in err
+
+
 def test_search_too_deep_a_descent_exits_1(capsys):
     """A 1:1000 corner ratio lets one edge's Stern-Brocot descent run as
     deep as the budget; past the recursion limit that is a usage error."""

@@ -7,8 +7,10 @@ the piece-merging ``from_edge_content`` with a replay of the whole
 history, the integer continuant discrepancies with Fraction Gaussian
 elimination, the one-pass edge tables of a CY search with the public
 per-edge enumerators, and the glue's verdict from edge summaries with
-``certify`` on the built graph.  Graph files must round-trip, and damaged
-ones must fail with FormatError alone.
+``certify`` on the built graph, and the generic walk's mark deficit from
+edge summaries with the same deficit read vertex by vertex off the built
+graph.  Graph files must round-trip, and damaged ones must fail with
+FormatError alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from fourlines import search as searchmod
 from fourlines.certify import CHECKS, certify, edge_summary, glue
 from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, run_search, step_edge_enumerate
 from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
+
+from conftest import random_graph
 
 #: weight vectors with repeated entries give several least relabelings
 WEIGHT_VECTORS = ((1, 1, 2, 3), (0, 1, 1, 1), (1, 1, 1, 1), (2, 2, 3, 3), (1, 2, 3, 5))
@@ -504,3 +508,36 @@ def test_glue_agrees_with_certify():
             mismatches.append((g.canonical_form(), verdict, report.reasons[:1]))
     assert mismatches == []
     assert all(seen.values()), seen
+
+
+def reference_deficit(g: VisibleGraph) -> int:
+    """Mark increments the graph lacks, vertex by vertex: every vertex but
+    the boundary needs mark 1 at weight n or more, else mark 2."""
+    n = g.total_weight
+    return sum(max(0, (1 if g.weight(v) >= n else 2) - g.mark(v)) for v in g.vertices if v != g.boundary)
+
+
+def test_mark_deficit_from_summaries_equals_the_graph_formula():
+    """The generic walk's pruning bound, read off edge summaries and the
+    corner need, equals the vertex-by-vertex deficit of the built graph on
+    random graphs with zero, repeated and fractional weights, with and
+    without a boundary.  The sample holds both edges of the rule: interior
+    whites weighing exactly n, and corners weighing n or more with mark 1
+    or less."""
+    rng = random.Random(1618)
+    choices = (0, 0, 0, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+    exact_whites = heavy_corners = checked = 0
+    while checked < 2000:
+        weights = [rng.choice(choices) for _ in range(4)]
+        if sum(weights) <= 0:
+            continue
+        g = random_graph(rng, max_insertions=10, weights=weights, boundary=rng.random() < 0.5)
+        weights, boundary_index, patterns = content_of(g)
+        need = searchmod._corner_need(weights, boundary_index)
+        deficit = searchmod._mark_deficit(weights, need, [edge_summary(p) for p in patterns])
+        assert deficit == reference_deficit(g), g.canonical_form()
+        n = g.total_weight
+        exact_whites += any(g.weight(v) == n for v in g.whites() if not g.is_corner(v))
+        heavy_corners += any(g.weight(c) >= n and g.mark(c) <= 1 for c in g.corners if c != g.boundary)
+        checked += 1
+    assert exact_whites and heavy_corners, (exact_whites, heavy_corners)

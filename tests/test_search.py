@@ -342,6 +342,45 @@ def test_generic_finds_smallest_boundary_surface():
     assert str(rep.near_cy).startswith("one_step")
 
 
+@pytest.mark.parametrize(
+    "weights,boundary,budget,explored,certified,best,minimum",
+    [
+        ((1, 1, 1, 1), False, 8, 187, 0, 0, None),
+        ((1, 2, 3, 5), False, 7, 330, 0, 0, None),
+        ((0, 0, 1, 1), False, 8, 1632, 0, 0, None),
+        ((0, 0, 1, 1), True, 7, 2430, 1, 1, Fraction(1, 15)),
+        ((1, 1, 1, 2), True, 7, 1683, 1, 1, Fraction(3, 20)),
+        ((0, 0, 0, 1), True, 7, 3867, 1, 1, Fraction(3, 20)),
+        ((0, 1, 1, 1), True, 8, 4042, 15, 2, Fraction(1, 60)),
+    ],
+)
+def test_generic_walk_pinned(weights, boundary, budget, explored, certified, best, minimum):
+    """The walk's counters pin its pruning: a white at exactly n may stay
+    white, and a corner weighing n or more needs only two touches."""
+    res = generic_search(SearchConfig(weights, boundary=boundary, max_blowups=budget, mode="generic"))
+    assert (res.explored["explored"], res.explored["certified"], res.explored["best"]) == (explored, certified, best)
+    assert res.minimum == minimum
+
+
+def test_generic_walk_builds_no_graph_by_insertion(monkeypatch):
+    """The walk grows edge content; graphs are built only from keys."""
+    kwargs = dict(weights=(0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic")
+    expected = result_snapshot(generic_search(SearchConfig(**kwargs)))
+
+    def no_insert(self, a, b, new_id):
+        raise AssertionError("the generic walk inserted into a graph")
+
+    monkeypatch.setattr(VisibleGraph, "insert", no_insert)
+    res = generic_search(SearchConfig(**kwargs))
+    assert result_snapshot(res) == expected
+    assert res.explored == {"explored": 882, "certified": 3, "eligible": 3, "best": 1}
+    assert serialize(res.best[0][0]) == (
+        "corners C0 C1 C2 C3\nweights 0 1 1 1\nboundary C0\n"
+        "insert E12_1_1 C1 C2\ninsert E12_1_2 E12_1_1 C2\ninsert E13_1_1 C1 C3\ninsert E13_2_1 C1 E13_1_1\n"
+        "insert E23_1_1 C2 C3\ninsert E23_1_2 E23_1_1 C3\ninsert E23_1_3 E23_1_2 C3\n"
+    )
+
+
 def certified_keys(config) -> set:
     """The keys of every form a search certifies, read off ``_judge``."""
     keys = set()
