@@ -189,9 +189,11 @@ def check_weights(graph: "VisibleGraph", strict: bool = False) -> list[str]:
 
     Every white vertex needs weight >= n (> n when strict), where n is
     the total corner weight; with a boundary, its weight must be >= 0
-    (> 0 when strict).
+    (> 0 when strict).  The test's coefficients w_v/n - 1 need n > 0.
     """
     n = graph.total_weight
+    if n <= 0:
+        return [f"total weight {n} must be positive"]
     violations = []
     for v in graph.whites():
         w = graph.weight(v)
@@ -572,7 +574,8 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
         return Verdict("volume")
     n = sum(weights)
     if (
-        any(c != bd and not black[c] and weights[c] < n for c in range(4))
+        n <= 0
+        or any(c != bd and not black[c] and weights[c] < n for c in range(4))
         or (bd is not None and weights[bd] < 0)
         or not all(_heavy(s.whites, weights[i], weights[j], n) for s, (i, j) in zip(summaries, EDGE_PAIRS))
     ):

@@ -29,7 +29,7 @@ from .closed_forms import (
     t_surface,
     weighted_hypersurface_k2,
 )
-from .invisible import search_orthogonal, support, visible_intersections
+from .invisible import D_MAX_LIMIT, search_orthogonal, support, visible_intersections
 from .search import CY_STEP_UP, GENERIC, SearchConfig, run_search
 from .singularities import solve_discrepancies
 
@@ -197,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invisible", help="boxed lattice hunt for orthogonal classes")
     p.add_argument("file", help="graph file to analyze")
-    p.add_argument("--d-max", type=int, default=3, help="largest hyperplane degree (default 3)")
+    p.add_argument(
+        "--d-max", type=int, default=3, help=f"largest hyperplane degree, 1 to {D_MAX_LIMIT} (default 3)"
+    )
     p.set_defaults(func=_cmd_invisible)
 
     return parser

@@ -36,6 +36,9 @@ __all__ = [
     "crepant_check",
 ]
 
+#: Largest d_max the hunt accepts: 100 already takes seconds on p48983.
+D_MAX_LIMIT = 100
+
 
 @dataclass(frozen=True)
 class CandidateClass:
@@ -118,13 +121,15 @@ def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: i
     for the multiplicities of an irreducible plane curve of degree d;
     candidates outside the box are out of reach by construction.
 
-    The enumeration walks insertions in chronological order, so each new
-    multiplicity is capped by the remaining intersection budget of the
-    two curves that were separated by that blowup; the box is scanned
-    exhaustively within those implied bounds.
+    The scan places the multiplicities in insertion order, each capped by
+    the remaining pairings of the two curves its blowup separated, and
+    forced where it settles a curve with a nonzero pullback coefficient.
+    d_max runs from 1 to D_MAX_LIMIT; the cost grows about as d_max**4.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
+    if d_max > D_MAX_LIMIT:
+        raise ValueError(f"d_max must be at most {D_MAX_LIMIT}")
     coeffs = pullback_coefficients(graph, b)
     spanned = sum(
         (coeffs[v] * lattice.class_of(graph, v) for v in graph.vertices),
@@ -136,55 +141,49 @@ def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: i
     order = [ins.new_id for ins in graph.history]
     position = {v: i for i, v in enumerate(order)}
     parents = {ins.new_id: (ins.left_id, ins.right_id) for ins in graph.history}
-    in_support = [v for v in graph.vertices if coeffs[v] > 0]
 
-    # A support vertex must end with pairing exactly zero.  Its pairing is
-    # settled once its last child's multiplicity is chosen (its own, if it
-    # never gained children); settle points let the scan cut early.
-    finalized_at: list[list[str]] = [[] for _ in order]
-    for v in in_support:
-        deps = [position[u] for u in graph.children(v)]
-        if not graph.is_corner(v):
-            deps.append(position[v])
+    # D pairs to zero with every support curve and with the log pullback,
+    # sum(c_v * avail[v]), exactly when every vertex with c_v != 0 ends at
+    # avail 0.  avail[v], D's pairing with curve v, never goes negative and
+    # c_v <= 0 off the support, so with the support at 0 every term left is
+    # <= 0.  A vertex settles at its last child's index (its own if it has
+    # none and is not a corner), forcing the multiplicity placed there: 0
+    # for the vertex itself, avail[p] for a parent p of it.
+    settles: list[list[str]] = [[] for _ in order]
+    for v in graph.vertices:
+        if coeffs[v] == 0:
+            continue
+        deps = [position[u] for u in (v, *graph.children(v)) if u in position]
         if not deps:
-            # a childless support corner pairs to d > 0 with everything fixed
+            # a childless corner pairs to d > 0 with everything fixed
             return []
-        finalized_at[max(deps)].append(v)
+        settles[max(deps)].append(v)
 
     found: list[CandidateClass] = []
     for d in range(1, d_max + 1):
-        cap_box = 2 * d
         avail: dict[str, int] = {c: d for c in graph.corners}
         ms: list[int] = []
 
-        def leaf() -> None:
-            squares = sum(m * m for m in ms)
-            total = sum(ms)
-            self_int = d * d - squares
-            k_int = total - 3 * d
-            if self_int + k_int != -2:
-                return
-            if gcd(d, *ms) != 1:
-                return
-            if sum((coeffs[v] * avail[v] for v in graph.vertices), Fraction(0)) != 0:
-                return
-            e = {order[j]: -ms[j] for j in range(len(ms)) if ms[j]}
-            found.append(CandidateClass(DivisorClass(graph, d, e), self_int, k_int))
-
         def scan(i: int) -> None:
             if i == len(order):
-                leaf()
+                self_int = d * d - sum(m * m for m in ms)
+                k_int = sum(ms) - 3 * d
+                if self_int + k_int == -2 and gcd(d, *ms) == 1:
+                    e = {order[j]: -m for j, m in enumerate(ms) if m}
+                    found.append(CandidateClass(DivisorClass(graph, d, e), self_int, k_int))
                 return
             v = order[i]
             left, right = parents[v]
-            cap = min(cap_box, avail[left], avail[right])
-            for m in range(cap + 1):
+            cap = min(2 * d, avail[left], avail[right])
+            forced = {0 if s == v else avail[s] for s in settles[i]}
+            if len(forced) > 1 or max(forced, default=0) > cap:
+                return  # two settled curves disagree, or one is out of reach
+            for m in forced or range(cap + 1):
                 avail[left] -= m
                 avail[right] -= m
                 avail[v] = m
                 ms.append(m)
-                if all(avail[s] == 0 for s in finalized_at[i]):
-                    scan(i + 1)
+                scan(i + 1)
                 ms.pop()
                 del avail[v]
                 avail[left] += m

@@ -21,12 +21,12 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.graph")
 
 
-def run_optimized(*args) -> subprocess.CompletedProcess:
+def run_optimized(*args, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``python -O`` on the checkout's sources; -O strips every assert."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-O", *args], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-O", *args], capture_output=True, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=path),
     )
 
@@ -150,6 +150,16 @@ def test_verify_weight_override(capsys):
     assert code == 0
     assert "volume    1/60" in out
     assert "near_cy   one_step(F13)" in out
+
+
+@pytest.mark.parametrize("weights", ["--weights=0,0,0,0", "--weights=-1,0,0,0"])
+def test_verify_nonpositive_total_weight_exits_2(capsys, weights):
+    """The weight test's coefficients w_v/n - 1 need n > 0, so a total
+    weight n <= 0 is reported as a failed weight condition."""
+    code, out, _ = run(capsys, "verify", fixture_path("kollar60"), weights)
+    assert code == 2
+    assert "status    not_certified" in out
+    assert "total weight" in out
 
 
 def test_verify_input_errors_exit_1(capsys, tmp_path):
@@ -279,6 +289,23 @@ def test_invisible_rejects_d_max_before_printing(capsys):
     assert code == 1
     assert out == ""
     assert "d_max must be at least 1" in err
+
+
+def test_invisible_rejects_a_huge_d_max_at_once():
+    """A d_max past the limit is bad input: it exits 1 before the hunt
+    starts, instead of scanning a box it could never finish."""
+    proc = run_optimized("-m", "fourlines.cli", "invisible", fixture_path("p48983"), "--d-max", "1000000", timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: d_max must be at most 100"]
+
+
+def test_invisible_under_python_O(capsys):
+    argv = ("invisible", fixture_path("p462a"), "--d-max", "5")
+    code, out, _ = run(capsys, *argv)
+    proc = run_optimized("-m", "fourlines.cli", *argv)
+    assert code == 0 and out.endswith("candidates 1\n")
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_search_zero_total_weight_exits_1(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from fourlines import graph as graphmod
 from fourlines.invisible import (
+    D_MAX_LIMIT,
     CandidateClass,
     crepant_check,
     pullback_coefficients,
@@ -155,13 +156,15 @@ def test_p462a_unique_class(load_graph):
 
 
 def test_deeper_graphs_find_the_same_class(load_graph):
+    """The 1/462 class is the only one in the box, also far beyond the
+    naive oracle's d <= 3."""
     reference = load_graph("p462a")
     ref = search_orthogonal(reference, solved(reference), 3)
     assert len(ref) == 1
     want = {k: v for k, v in ref[0].divisor.coefficients().items() if v}
-    for name in ("p48983", "p48983_rho3"):
+    for name, d_max in (("p48983", 3), ("p48983_rho3", 3), ("p462a", 50), ("p48983", 30)):
         g = load_graph(name)
-        cands = search_orthogonal(g, solved(g), 3)
+        cands = search_orthogonal(g, solved(g), d_max)
         assert len(cands) == 1
         got = {k: v for k, v in cands[0].divisor.coefficients().items() if v}
         assert got == want
@@ -188,6 +191,8 @@ def test_d_max_validation(load_graph):
         search_orthogonal(g, b, 0)
     with pytest.raises(ValueError):
         search_orthogonal(g, b, -2)
+    with pytest.raises(ValueError, match=f"at most {D_MAX_LIMIT}"):
+        search_orthogonal(g, b, D_MAX_LIMIT + 1)
 
 
 def test_candidates_respect_the_box(load_graph):
