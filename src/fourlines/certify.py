@@ -599,14 +599,12 @@ def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fracti
     """
     mults = []
     for v in graph.whites():
+        m = [0, 0, 0, 0]
         if graph.is_corner(v):
-            m = [0, 0, 0, 0]
             m[graph.corners.index(v)] = 1
         else:
             i, j = graph.edge_of(v)
-            m1, m2 = graph.fraction(v)
-            m = [0, 0, 0, 0]
-            m[i], m[j] = m1, m2
+            m[i], m[j] = graph.fraction(v)
         mults.append(m)
 
     # Normalize the total weight to 1, so every white needs m.w > 1 and,
@@ -625,7 +623,7 @@ def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fracti
         unit[graph.corners.index(graph.boundary)] = 1
         add_gt(*unit, 0)
 
-    point = _feasible_point_3d(rows)
+    point = _feasible_point(rows, 3)
     if point is None:
         return None
     w0, w1, w2 = point
@@ -636,81 +634,41 @@ def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fracti
     return weights
 
 
-def _feasible_point_3d(
-    rows: Sequence[tuple[Fraction, Fraction, Fraction, Fraction]]
-) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """A point satisfying a·x > c for every row (a, c), by elimination."""
-    point: list[Fraction] = []
-    systems = [list(rows)]
-    for dim in (3, 2, 1):
-        cur = systems[-1]
-        nxt = _eliminate_last(cur, dim)
-        if nxt is None:
-            return None
-        systems.append(nxt)
-    # systems[3] is a set of 0-dimensional rows: constants that must be > c
-    for row in systems[3]:
-        if not Fraction(0) > row[-1]:
-            return None
-    # back-substitute: choose each coordinate inside its open interval
-    for dim, cur in zip((1, 2, 3), reversed(systems[:-1])):
-        lo, hi = None, None
-        for row in cur:
-            a = row[dim - 1]
-            c = row[-1] - sum(row[i] * point[i] for i in range(dim - 1))
-            if a == 0:
-                continue
-            bound = c / a
-            if a > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            val = Fraction(0)
-        elif lo is None:
-            val = hi - 1
-        elif hi is None:
-            val = lo + 1
-        else:
-            if not lo < hi:
-                raise ArithmeticError(f"empty interval ({lo}, {hi}) after elimination")
-            val = (lo + hi) / 2
-        point.append(val)
-    return (point[0], point[1], point[2])
+def _feasible_point(rows: Sequence[tuple], dim: int) -> Optional[tuple[Fraction, ...]]:
+    """A point x with a·x > c for every row (a_1, ..., a_dim, c), or None.
 
+    One Fourier-Motzkin step eliminates x_dim: rows without it carry over,
+    and each lower-bound row p (p_dim > 0) with each upper-bound row q
+    (q_dim < 0) gives the row p/p_dim - q/q_dim, which holds exactly when
+    the two bounds on x_dim leave room.  At the point found for the rest,
+    x_dim is 0 when unbounded, 1 past a one-sided bound, else the midpoint.
+    """
+    if dim == 0:
+        return () if all(0 > c for (c,) in rows) else None
+    lower = [r for r in rows if r[dim - 1] > 0]
+    upper = [r for r in rows if r[dim - 1] < 0]
+    rest = [r[: dim - 1] + r[dim:] for r in rows if r[dim - 1] == 0]
+    rest += [
+        tuple(x / p[dim - 1] - y / q[dim - 1] for x, y in zip(p[: dim - 1] + p[dim:], q[: dim - 1] + q[dim:]))
+        for p in lower
+        for q in upper
+    ]
+    point = _feasible_point(rest, dim - 1)
+    if point is None:
+        return None
 
-def _eliminate_last(
-    rows: Sequence[tuple], dim: int
-) -> Optional[list[tuple]]:
-    """One Fourier-Motzkin step on x_dim (1-indexed), strict inequalities."""
-    pos, neg, zero = [], [], []
-    for row in rows:
-        a = row[dim - 1]
-        if a > 0:
-            pos.append(row)
-        elif a < 0:
-            neg.append(row)
-        else:
-            zero.append(row[: dim - 1] + (row[-1],))
-    out = list(zero)
-    for rp in pos:
-        ap = rp[dim - 1]
-        for rn in neg:
-            an = rn[dim - 1]
-            # lower bound (cp - rest_p)/ap must stay below upper bound
-            # (cn - rest_n)/an, which rearranges to the strict row below
-            coeffs = tuple(
-                rp[i] / ap + rn[i] / (-an) for i in range(dim - 1)
-            )
-            const = rp[-1] / ap + rn[-1] / (-an)
-            out.append(coeffs + (const,))
-    # rows now state coeffs·x > const in dimension dim-1; detect trivial
-    # contradictions early for speed
-    cleaned = []
-    for row in out:
-        if all(c == 0 for c in row[:-1]):
-            if not Fraction(0) > row[-1]:
-                return None
-            continue
-        cleaned.append(row)
-    return cleaned
+    def bound(r: tuple) -> Fraction:  # the x_dim at which row r holds with equality
+        return (r[-1] - sum(a * x for a, x in zip(r, point))) / r[dim - 1]
+
+    lo, hi = max(map(bound, lower), default=None), min(map(bound, upper), default=None)
+    if lo is None and hi is None:
+        val = Fraction(0)
+    elif lo is None:
+        val = hi - 1
+    elif hi is None:
+        val = lo + 1
+    elif lo < hi:
+        val = (lo + hi) / 2
+    else:
+        raise ArithmeticError(f"empty interval ({lo}, {hi}) after elimination")
+    return point + (val,)

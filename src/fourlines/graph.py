@@ -16,9 +16,10 @@ a and b equals m1*w(a) + m2*w(b) and the pair is always coprime.  The
 pair is the Stern-Brocot coordinate of the vertex inside its edge, and
 it determines the creation parents of the vertex uniquely.
 
-A graph's one identity is ``canonical_key``, a function of the corner
-weights, the boundary and the edge content alone: a search deduplicates
-before it builds, and ``VisibleGraph.from_canonical_key`` builds a key.
+A graph's one identity is ``canonical_key`` of the corner weights, boundary
+and edge content alone; a corner relabeling is a list of reads into each
+edge pattern's two cached orientations.  A search deduplicates before it
+builds, and ``VisibleGraph.from_canonical_key`` builds a key.
 
 An insertion changes only its own edge and that edge's two corners, so
 a graph built from edge content is merged from six per-edge pieces cached
@@ -423,6 +424,12 @@ def _creation_order(pair: tuple[int, int]) -> tuple[int, int]:
     return (pair[0] + pair[1], pair[0])
 
 
+@lru_cache(maxsize=4096)
+def _orientations(pattern: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """An edge's pairs in creation order as read from its first corner and from its second."""
+    return tuple(sorted(pattern, key=_creation_order)), tuple(sorted([(b, a) for a, b in pattern], key=_creation_order))
+
+
 def canonical_key(
     weights: Sequence[Rational],
     boundary_index: Optional[int],
@@ -436,35 +443,26 @@ def canonical_key(
     edge by edge, the multiplicity pairs seen from its first corner in
     creation order.  The corner key is compared first, so only the
     relabelings that list the corner keys in sorted order can reach the
-    minimum; with four distinct corner keys that is one of the 24.
+    minimum; with four distinct corner keys that is one of the 24.  Each is
+    a fixed list of reads into the cached ``_orientations`` of the patterns.
     """
     least, relabelings = _sorting_relabelings(tuple(
         (w.numerator, w.denominator, i == boundary_index) for i, w in enumerate(weights)
     ))
-    ordered = {pair: tuple(sorted(content.get(pair, ()), key=_creation_order)) for pair in EDGE_PAIRS}
-    best = None
-    for perm in relabelings:
-        edges_key = []
-        for i, j in EDGE_PAIRS:
-            a, b = perm[i], perm[j]
-            if a < b:
-                edges_key.append(ordered[(a, b)])
-            else:
-                flipped = [(m2, m1) for m1, m2 in ordered[(b, a)]]
-                edges_key.append(tuple(sorted(flipped, key=_creation_order)))
-        edges_key = tuple(edges_key)
-        if best is None or edges_key < best:
-            best = edges_key
-    return least, best
+    sides = {pair: _orientations(tuple(content.get(pair, ()))) for pair in EDGE_PAIRS}
+    return least, min(tuple(sides[pair][side] for pair, side in reads) for reads in relabelings)
 
 
 @lru_cache(maxsize=1024)
-def _sorting_relabelings(corner_key: tuple) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """The sorted corner key, which every key of a search then shares,
-    and the corner permutations ``perm`` with corner_key[perm[i]] in it."""
+def _sorting_relabelings(corner_key: tuple) -> tuple[tuple, tuple[tuple, ...]]:
+    """The sorted corner key, which every key of a search then shares, and for
+    each permutation ``perm`` with corner_key[perm[i]] in it the reads of the
+    new edges (i, j): old edge {perm[i], perm[j]}, from its second corner
+    (side 1) when perm[i] > perm[j]."""
     least = tuple(sorted(corner_key))
     return least, tuple(
-        perm for perm in permutations(range(4))
+        tuple((tuple(sorted((perm[i], perm[j]))), int(perm[i] > perm[j])) for i, j in EDGE_PAIRS)
+        for perm in permutations(range(4))
         if all(corner_key[perm[i]] == least[i] for i in range(4))
     )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -549,6 +550,39 @@ def test_search_deterministic_across_jobs():
         for j in (1, 4)
     ]
     assert gsnaps[0] == gsnaps[1]
+
+
+@pytest.mark.parametrize(
+    "mode,weights,boundary,budget,explored,tasks,minimum",
+    [
+        ("cy_step_up", (1, 1, 1, 2), False, 16,
+         {"edge_patterns": 114, "tasks": 54, "assembled": 929, "certified": 295, "eligible": 295, "best": 3},
+         None, Fraction(1, 2485)),
+        ("cy_step_up", (1, 1, 2, 3), True, 14,
+         {"edge_patterns": 256, "assembled": 421, "certified": 118, "eligible": 118, "best": 1},
+         {4, 8, 58}, Fraction(1, 168)),
+        ("cy_step_up", (0, 1, 1, 2), True, 12,
+         {"edge_patterns": 1577, "tasks": 1098, "assembled": 204, "certified": 62, "eligible": 62, "best": 3},
+         None, Fraction(1, 260)),
+        ("generic", (0, 1, 1, 2), True, 7,
+         {"explored": 2172, "certified": 4, "eligible": 4, "best": 1},
+         None, Fraction(1, 60)),
+    ],
+)
+def test_search_invariant_under_corner_order(mode, weights, boundary, budget, explored, tasks, minimum):
+    """Every order of the corner weights (the boundary stays first) gives the
+    same minimum, forms and counters.  The one exception is ``tasks`` under a
+    unit boundary: it counts edge 0's CY table, so it depends on the weight
+    at corner 1, and the test pins the set of its values instead."""
+    fixed = weights[:1] if boundary else ()
+    orders = sorted(set(permutations(weights[len(fixed):])))
+    results = [run_search(SearchConfig(fixed + order, boundary, budget, mode)) for order in orders]
+    counters = [dict(r.explored) for r in results]
+    if tasks is not None:
+        assert {c.pop("tasks") for c in counters} == tasks
+    assert counters == [explored] * len(orders)
+    assert [r.minimum for r in results] == [minimum] * len(orders)
+    assert all(r.forms() == results[0].forms() for r in results)
 
 
 def test_run_search_dispatch():
