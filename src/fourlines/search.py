@@ -24,13 +24,18 @@ glue's volume and Picard rank or the search raises ArithmeticError.
 The generic mode is one depth-first walk in one process.  The CY mode
 may fan out over worker processes: work is split into disjoint task
 blocks whose results merge as plain set unions keyed by canonical key,
-so the output is identical for every worker count.  The CY tables are
-built once per search and handed to every worker.  A task fixes one
-edge's pattern and is the first level of one scan over the six edges;
-every level applies its pattern's corner touches and insertions alike,
-and a combination is keyed only if each corner has the touches
-``_corner_need`` asks; the generic walk prunes by the same rule.  Both
-modes end in ``_result``, which builds the least-volume forms from their keys.
+so the output is identical for every worker count.  The workers form
+one pool per process, of ``min(jobs, os.cpu_count())`` processes: the
+first search that fans out starts it, every later search of that size
+reuses it (a search of another size replaces it, and one that fails
+drops it, so the next starts afresh), and ``concurrent.futures`` joins
+it when the interpreter exits.  The CY tables are built once per search
+and handed to the workers.  A task fixes one edge's pattern and is the
+first level of one scan over the six edges; every level applies its
+pattern's corner touches and insertions alike, and a combination is
+keyed only if each corner has the touches ``_corner_need`` asks; the
+generic walk prunes by the same rule.  Both modes end in ``_result``,
+which builds the least-volume forms from their keys.
 """
 
 from __future__ import annotations
@@ -243,25 +248,53 @@ def _result(certified: Certified, rho_filter: Optional[int], **counts: int) -> S
     return SearchResult(best=best, explored=explored)
 
 
+# The CY searches' one worker pool, as (size, pool); see ``_run_tasks``.
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+
+
+def _drop_pool(cancel_futures: bool = False) -> None:
+    """Shut the cached pool down, waiting for its workers, and forget it."""
+    global _pool
+    if _pool is not None:
+        pool = _pool[1]
+        _pool = None
+        pool.shutdown(wait=True, cancel_futures=cancel_futures)
+
+
 def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
     """Fan tasks out over processes; merge by plain union.
 
     Each call of ``worker`` gets ``(shared, chunk)``.  The merged sets
     depend only on the union of tasks, never on the chunking, which is
-    what makes the result worker-count independent.  The pool never has
-    more workers than tasks or CPUs.
+    what makes the result worker-count independent.  With one task,
+    one CPU or ``jobs`` 1 the tasks run inline as one chunk.  Otherwise
+    they are striped into ``min(jobs, len(tasks), os.cpu_count())``
+    chunks over the process's one pool of ``min(jobs, os.cpu_count())``
+    workers.  The first call that fans out starts the pool and later
+    calls reuse it, workers and caches warm; a call of another size shuts
+    the old pool down first.  Any exception while the pool runs (a
+    worker's own error, a worker that died, an interrupt) shuts the pool
+    down and drops it before it propagates, so the next call starts a
+    fresh one.  ``concurrent.futures`` joins the pool at interpreter exit.
     """
+    global _pool
     seen: set[Key] = set()
     certified: Certified = {}
-    jobs = max(1, min(jobs, len(tasks), os.cpu_count() or 1))
-    if jobs == 1:
-        chunks = [tasks] if tasks else []
-        results = [worker((shared, chunk)) for chunk in chunks]
+    cpus = os.cpu_count() or 1
+    stripes = max(1, min(jobs, len(tasks), cpus))
+    if stripes == 1:
+        results = [worker((shared, tasks))] if tasks else []
     else:
-        chunks = [tasks[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, [(shared, c) for c in chunks]))
+        size = min(jobs, cpus)
+        if _pool is not None and _pool[0] != size:
+            _drop_pool()
+        if _pool is None:
+            _pool = (size, ProcessPoolExecutor(max_workers=size))
+        try:
+            results = list(_pool[1].map(worker, [(shared, tasks[i::stripes]) for i in range(stripes)]))
+        except BaseException:
+            _drop_pool(cancel_futures=True)
+            raise
     for part_seen, part_certified in results:
         seen |= part_seen
         certified.update(part_certified)
@@ -334,15 +367,17 @@ def generic_search(config: SearchConfig) -> SearchResult:
 
 
 def _cy_tables(config: SearchConfig):
-    """Per edge, the summaries of its CY and of its one-step patterns.
+    """Per edge, the summaries of its CY patterns and its bare one-step patterns.
 
-    Each edge is enumerated once; the tables go to every worker.
+    Each edge is enumerated once; the tables go to every worker.  A
+    one-step pattern is read only by the task that fixes it, which
+    summarises it, so none is summarised under a unit boundary.
     """
     n, w = config.total_weight, config.weights
     cy, step = {}, {}
     for i, j in EDGE_PAIRS:
-        tables = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
-        cy[(i, j)], step[(i, j)] = ([edge_summary(p) for p in table] for table in tables)
+        cy_patterns, step[(i, j)] = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
+        cy[(i, j)] = [edge_summary(p) for p in cy_patterns]
     return cy, step
 
 
@@ -362,9 +397,7 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
     (config, cy, step), tasks = args
     weights = config.weights
     b_index = config.boundary_index
-    # a task (e, k) fixes edge e to the k-th pattern of its first table:
-    # edge 0's CY table under a unit boundary, else the edge's one-step table
-    first = cy if _cy_case(config) == 3 else step
+    unit_boundary = _cy_case(config) == 3
     need = _corner_need(weights, b_index)
     seen: set[Key] = set()
     certified: Certified = {}
@@ -394,7 +427,11 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
             counts[j] -= tj
 
     for e, idx in tasks:
-        levels = [(e, first[EDGE_PAIRS[e]][idx : idx + 1])] + [(f, cy[EDGE_PAIRS[f]]) for f in range(6) if f != e]
+        # a task (e, k) fixes edge e to the k-th pattern of edge 0's CY
+        # table under a unit boundary, else of the edge's one-step table
+        edge = EDGE_PAIRS[e]
+        fixed = cy[edge][idx] if unit_boundary else edge_summary(step[edge][idx])
+        levels = [(e, [fixed])] + [(f, cy[EDGE_PAIRS[f]]) for f in range(6) if f != e]
         scan(levels, 0, [0, 0, 0, 0], config.max_blowups)
     return seen, certified
 

@@ -269,6 +269,16 @@ def test_search_deterministic_across_jobs(capsys, tmp_path):
     assert files[0] == files[1]
 
 
+def test_search_with_a_pool_exits_cleanly():
+    """The worker pool outlives each search but not the interpreter: a
+    --jobs 2 search exits within the timeout and prints what --jobs 1 prints."""
+    argv = ("-m", "fourlines.cli", "search", "--weights", "1,2,3,5", "--max-blowups", "16", "--jobs")
+    inline, pooled = (run_optimized(*argv, jobs, timeout=60) for jobs in ("1", "2"))
+    assert (pooled.returncode, pooled.stderr) == (0, "")
+    assert inline.returncode == 0 and "minimum" in inline.stdout
+    assert pooled.stdout == inline.stdout
+
+
 def test_invisible_finds_the_462_class(capsys):
     code, out, _ = run(capsys, "invisible", fixture_path("p462a"), "--d-max", "5")
     assert code == 0

@@ -346,13 +346,13 @@ def test_one_pass_edge_tables_equal_the_public_enumerators():
         cy, step = _cy_tables(config)
         for i, j in EDGE_PAIRS:
             assert [s.pattern for s in cy[(i, j)]] == cy_edge_enumerate(weights[i], weights[j], n, budget)
-            assert [s.pattern for s in step[(i, j)]] == step_edge_enumerate(weights[i], weights[j], n, budget)
+            assert step[(i, j)] == step_edge_enumerate(weights[i], weights[j], n, budget)
             with_steps += bool(step[(i, j)])
             # the split itself: whites at n, plus exactly one at n + 1 on the step side
             for summary in cy[(i, j)]:
                 assert all(w == n for w in white_weights(summary.pattern, weights[i], weights[j]))
-            for summary in step[(i, j)]:
-                whites = white_weights(summary.pattern, weights[i], weights[j])
+            for pattern in step[(i, j)]:
+                whites = white_weights(pattern, weights[i], weights[j])
                 assert whites.count(n + 1) == 1 and whites.count(n) == len(whites) - 1
     assert with_steps > 100
 

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+import threading
 import time
+import warnings
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -219,7 +225,37 @@ def test_cy_search_enumerates_each_edge_once(monkeypatch):
         assert top_level == [1] * 6  # one pass per edge, allowing one step
 
 
-def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch):
+@pytest.fixture
+def fresh_pool():
+    """No cached worker pool before or after the test, so a test sees every
+    pool its searches start, and leaves none forked under its patches."""
+    searchmod._drop_pool()
+    yield
+    searchmod._drop_pool()
+
+
+def counting_pool(monkeypatch) -> list:
+    """Make ``search`` start counted pools; returns the size of each."""
+    sizes = []
+
+    class CountingPool(searchmod.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(searchmod, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+def _die(args):
+    os._exit(1)
+
+
+def _fail(args):
+    raise ArithmeticError("worker failed")
+
+
+def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch, fresh_pool):
     """--jobs is clamped to the CPU count, so one CPU starts no pool at all."""
 
     class NoPool:
@@ -235,7 +271,7 @@ def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch):
     assert expected["assembled"] > 0
 
 
-def test_generic_search_starts_no_pool(monkeypatch):
+def test_generic_search_starts_no_pool(monkeypatch, fresh_pool):
     """The generic walk runs in one process whatever --jobs says."""
 
     class NoPool:
@@ -247,6 +283,64 @@ def test_generic_search_starts_no_pool(monkeypatch):
     monkeypatch.setattr(searchmod, "ProcessPoolExecutor", NoPool)
     assert result_snapshot(generic_search(SearchConfig(jobs=4, **kwargs))) == expected
     assert expected[1]["certified"] > 0
+
+
+def test_cy_searches_share_one_pool(monkeypatch, fresh_pool):
+    """The record ladder at --jobs 2 starts one pool for its four searches,
+    and each answer equals the inline one."""
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
+    sizes = counting_pool(monkeypatch)
+    for budget in (16, 18, 20, 22):
+        config = SearchConfig((1, 2, 3, 5), max_blowups=budget)
+        inline = result_snapshot(cy_step_up_search(config))
+        assert result_snapshot(cy_step_up_search(replace(config, jobs=2))) == inline
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("worker,error", [(_die, BrokenProcessPool), (_fail, ArithmeticError)])
+def test_failed_pool_is_replaced(monkeypatch, fresh_pool, worker, error):
+    """A worker that dies or raises ends the call with that error and drops
+    the pool; the next call starts a fresh pool and gets the inline answer."""
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
+    sizes = counting_pool(monkeypatch)
+    config = SearchConfig((1, 2, 3, 5), max_blowups=16)
+    cy, step = searchmod._cy_tables(config)
+    tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
+    shared = (config, cy, step)
+    inline = searchmod._run_tasks(searchmod._cy_worker, shared, tasks, 1)
+    with pytest.raises(error):
+        searchmod._run_tasks(worker, shared, tasks, 2)
+    assert searchmod._pool is None
+    assert searchmod._run_tasks(searchmod._cy_worker, shared, tasks, 2) == inline
+    assert sizes == [2, 2]
+
+
+def test_pool_resize_forks_no_thread(monkeypatch, fresh_pool):
+    """A search of another size shuts the old pool down before the new one
+    forks, so no fork meets a live thread and Python 3.12+ gives no
+    fork-with-threads warning.  On 3.12 a fork just after a thread's join
+    may warn all the same (there ``join`` returns before the OS thread has
+    ended), so the test counts the threads at each fork itself."""
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 3)
+    sizes = counting_pool(monkeypatch)
+    threads_at_fork = []
+    real_fork = os.fork
+
+    def counting_fork():
+        threads_at_fork.append(threading.active_count())
+        return real_fork()
+
+    config = SearchConfig((1, 2, 3, 5), max_blowups=16)
+    inline = result_snapshot(cy_step_up_search(config))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        snaps = [result_snapshot(cy_step_up_search(replace(config, jobs=j))) for j in (2, 3, 2)]
+    assert snaps == [inline] * 3
+    assert sizes == [2, 3, 2]
+    assert threads_at_fork == [1] * 7
+    if sys.version_info >= (3, 13):
+        assert [str(w.message) for w in caught] == []
 
 
 def test_corner_touches_match_parent_walk():
