@@ -213,7 +213,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except Exception as exc:
+        # a search worker that dies breaks the pool; its error class loads
+        # with concurrent.futures, which only a search that fans out needs
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, (OSError, ValueError, BrokenExecutor)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,11 @@ it determines the creation parents of the vertex uniquely.
 
 A graph's one identity is ``canonical_key`` of the corner weights, boundary
 and edge content alone; a corner relabeling is a list of reads into each
-edge pattern's two cached orientations.  A search deduplicates before it
-builds, and ``VisibleGraph.from_canonical_key`` builds a key.
+edge pattern's two cached orientations.  ``least_reading`` also says
+whether the first relabeling reads the least key, which holds for exactly
+one edge content of each form, so a search can count forms without keys.
+A search deduplicates before it builds, and
+``VisibleGraph.from_canonical_key`` builds a key.
 
 An insertion changes only its own edge and that edge's two corners, so
 a graph built from edge content is merged from six per-edge pieces cached
@@ -45,6 +48,8 @@ __all__ = [
     "VisibleGraph",
     "EDGE_PAIRS",
     "canonical_key",
+    "corner_relabelings",
+    "least_reading",
     "WHITE",
     "BLACK",
     "BOUNDARY",
@@ -446,22 +451,45 @@ def canonical_key(
     minimum; with four distinct corner keys that is one of the 24.  Each is
     a fixed list of reads into the cached ``_orientations`` of the patterns.
     """
-    least, relabelings = _sorting_relabelings(tuple(
+    least, relabelings = corner_relabelings(weights, boundary_index)
+    return least, least_reading(relabelings, [content.get(pair, ()) for pair in EDGE_PAIRS])[0]
+
+
+def corner_relabelings(weights: Sequence[Rational], boundary_index: Optional[int]) -> tuple[tuple, tuple[tuple, ...]]:
+    """The sorted corner key, which every ``canonical_key`` of these corners
+    shares, and the relabelings that can reach the least edge key, as the
+    argument ``least_reading`` takes.  Their order, and so which one is
+    first, is the same on every call."""
+    return _sorting_relabelings(tuple(
         (w.numerator, w.denominator, i == boundary_index) for i, w in enumerate(weights)
     ))
-    sides = {pair: _orientations(tuple(content.get(pair, ()))) for pair in EDGE_PAIRS}
-    return least, min(tuple(sides[pair][side] for pair, side in reads) for reads in relabelings)
+
+
+def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple, bool]:
+    """The least edge key of the six ``patterns`` (in EDGE_PAIRS order) over
+    ``relabelings``, and whether the first relabeling reads it.
+
+    The relabelings that keep the corner keys map each edge content onto
+    the others of its orbit, and those read the same set of edge keys; the
+    first relabeling reads the least of them from exactly one member of
+    the orbit, so a search that keeps only the contents for which this
+    returns True keeps one content per form.
+    """
+    sides = [_orientations(tuple(p)) for p in patterns]
+    readings = [tuple(sides[e][side] for e, side in reads) for reads in relabelings]
+    least = min(readings)
+    return least, readings[0] == least
 
 
 @lru_cache(maxsize=1024)
 def _sorting_relabelings(corner_key: tuple) -> tuple[tuple, tuple[tuple, ...]]:
-    """The sorted corner key, which every key of a search then shares, and for
-    each permutation ``perm`` with corner_key[perm[i]] in it the reads of the
-    new edges (i, j): old edge {perm[i], perm[j]}, from its second corner
-    (side 1) when perm[i] > perm[j]."""
+    """The sorted corner key and, for each permutation ``perm`` with
+    corner_key[perm[i]] in it, the reads of the new edges (i, j): the index
+    in EDGE_PAIRS of old edge {perm[i], perm[j]}, read from its second
+    corner (side 1) when perm[i] > perm[j]."""
     least = tuple(sorted(corner_key))
     return least, tuple(
-        tuple((tuple(sorted((perm[i], perm[j]))), int(perm[i] > perm[j])) for i, j in EDGE_PAIRS)
+        tuple((EDGE_PAIRS.index(tuple(sorted((perm[i], perm[j])))), int(perm[i] > perm[j])) for i, j in EDGE_PAIRS)
         for perm in permutations(range(4))
         if all(corner_key[perm[i]] == least[i] for i in range(4))
     )

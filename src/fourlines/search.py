@@ -13,41 +13,54 @@ budgets 48 (interior) and 47 (boundary) assemble all of them.  A CY
 search enumerates each edge once into its CY and one-step tables.
 
 A form's one identity is its ``graph.canonical_key`` tuple, computed from
-the weights, the boundary and the edge content.  Both modes deduplicate
-each new form on it and hand it to ``_judge``, which runs ``certify.glue``
-on the summaries of its six edge patterns, without building a graph.
-Only the forms the glue certifies (one in ten on the (1,2,3,5) record
-ladder, 15 of 4,042 in the generic (0,1,1,1) walk at budget 8) are built
-from their keys and certified in full, and certify must agree with the
-glue's volume and Picard rank or the search raises ArithmeticError.
+the weights, the boundary and the edge content.  The generic walk
+deduplicates each new form on it.  The CY scan meets every form once per
+member of its orbit under the weight- and boundary-preserving corner
+relabellings, and counts a combination only if ``graph.least_reading``
+finds that its first relabelling reads the least edge key: one member of
+each orbit passes (the canonical-member rule of McKay's isomorph-free
+generation), so the count is the number of distinct forms.  With one
+relabelling, as whenever the four corner keys differ, every combination
+passes untested.  Both modes hand each new form to ``_judge``, which
+runs ``certify.glue`` on the summaries of its six edge patterns, without
+building a graph.  Only the forms the glue certifies (one in ten on the
+(1,2,3,5) record ladder, 15 of 4,042 in the generic (0,1,1,1) walk at
+budget 8) are keyed by the CY scan, built from their keys and certified
+in full, and certify must agree with the glue's volume and Picard rank
+or the search raises ArithmeticError.
 
 The generic mode is one depth-first walk in one process.  The CY mode
 may fan out over worker processes: work is split into disjoint task
-blocks whose results merge as plain set unions keyed by canonical key,
-so the output is identical for every worker count.  The workers form
-one pool per process, of ``min(jobs, os.cpu_count())`` processes: the
-first search that fans out starts it, every later search of that size
+blocks, each returning its count of forms and its certified forms by
+canonical key; the counts add and the certified dicts union, so the
+output is identical for every worker count.  The workers form one pool
+per process, of ``min(jobs, os.cpu_count())`` processes: the first
+search that fans out imports the pool module (which loads
+``multiprocessing``) and starts it, every later search of that size
 reuses it (a search of another size replaces it, and one that fails
 drops it, so the next starts afresh), and ``concurrent.futures`` joins
-it when the interpreter exits.  The CY tables are built once per search
-and handed to the workers.  A task fixes one edge's pattern and is the
-first level of one scan over the six edges; every level applies its
-pattern's corner touches and insertions alike, and a combination is
-keyed only if each corner has the touches ``_corner_need`` asks; the
-generic walk prunes by the same rule.  Both modes end in ``_result``,
-which builds the least-volume forms from their keys.
+it when the interpreter exits; a worker whose owner process is gone
+ends itself.  The CY tables are built once per search and handed to the
+workers.  A task fixes one edge's pattern and is the first level of one
+scan over the six edges; every level applies its pattern's corner
+touches and insertions alike, and a combination is counted only if each
+corner has the touches ``_corner_need`` asks; the generic walk prunes by
+the same rule.  Both modes end in ``_result``, which builds the
+least-volume forms from their keys.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .certify import EdgeSummary, SurfaceReport, certify, edge_summary, glue
-from .graph import EDGE_PAIRS, VisibleGraph, canonical_key
+from .graph import EDGE_PAIRS, VisibleGraph, canonical_key, corner_relabelings, least_reading
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "GENERIC",
@@ -218,15 +231,21 @@ Certified = dict[Key, tuple[Fraction, int]]
 
 
 def _judge(
-    weights, boundary_index: Optional[int], summaries: list[EdgeSummary], key: Key, certified: Certified
+    weights,
+    boundary_index: Optional[int],
+    summaries: list[EdgeSummary],
+    key_of: Callable[[], Key],
+    certified: Certified,
 ) -> None:
-    """Judge a new form by the glue on its edge summaries.  Only a form the
-    glue certifies is built, from its key, and certified in full; certify
-    must agree with the glue on the verdict, the volume and the rank, and
-    the form's volume and rank are then kept under ``key``."""
+    """Judge a new form by the glue on its edge summaries.  Only for a form
+    the glue certifies is ``key_of()`` asked for its key; the form is built
+    from it and certified in full, certify must agree with the glue on the
+    verdict, the volume and the rank, and the form's volume and rank are
+    then kept under the key."""
     verdict = glue(weights, boundary_index, summaries)
     if verdict.failed is not None:
         return
+    key = key_of()
     report = certify(VisibleGraph.from_canonical_key(key))
     if not report.certified or (report.volume, report.rho) != (verdict.volume, verdict.rho):
         raise ArithmeticError(
@@ -248,8 +267,39 @@ def _result(certified: Certified, rho_filter: Optional[int], **counts: int) -> S
     return SearchResult(best=best, explored=explored)
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: its module loads
+    ``multiprocessing``, which a search that does not fan out never needs.
+    It is kept as a module global, where ``_run_tasks`` looks it up."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def _watch_owner() -> None:
+    """Pool initializer: a daemon thread ends this worker within about a
+    second of its parent process going away, for a worker whose owner was
+    killed would otherwise wait for work forever.  The parent is the owner
+    under the ``fork`` and ``spawn`` start methods, and under
+    ``forkserver`` the server, which ends with the owner."""
+    import threading
+    import time
+
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="owner-watch", daemon=True).start()
+
+
 # The CY searches' one worker pool, as (size, pool); see ``_run_tasks``.
-_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+_pool: Optional[tuple[int, "ProcessPoolExecutor"]] = None
 
 
 def _drop_pool(cancel_futures: bool = False) -> None:
@@ -261,24 +311,28 @@ def _drop_pool(cancel_futures: bool = False) -> None:
         pool.shutdown(wait=True, cancel_futures=cancel_futures)
 
 
-def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
-    """Fan tasks out over processes; merge by plain union.
+def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
+    """Fan tasks out over processes; add the counts, union the certified dicts.
 
-    Each call of ``worker`` gets ``(shared, chunk)``.  The merged sets
-    depend only on the union of tasks, never on the chunking, which is
-    what makes the result worker-count independent.  With one task,
-    one CPU or ``jobs`` 1 the tasks run inline as one chunk.  Otherwise
-    they are striped into ``min(jobs, len(tasks), os.cpu_count())``
-    chunks over the process's one pool of ``min(jobs, os.cpu_count())``
-    workers.  The first call that fans out starts the pool and later
-    calls reuse it, workers and caches warm; a call of another size shuts
-    the old pool down first.  Any exception while the pool runs (a
-    worker's own error, a worker that died, an interrupt) shuts the pool
-    down and drops it before it propagates, so the next call starts a
-    fresh one.  ``concurrent.futures`` joins the pool at interpreter exit.
+    Each call of ``worker`` gets ``(shared, chunk)`` and returns (count,
+    certified) for its chunk.  Each form is counted and certified by
+    exactly one task, so the sum and the union depend only on the union
+    of tasks, never on the chunking, which is what makes the result
+    worker-count independent.  With one task, one CPU or ``jobs`` 1 the
+    tasks run inline as one chunk, and the pool module is never imported.
+    Otherwise they are striped into ``min(jobs, len(tasks),
+    os.cpu_count())`` chunks over the process's one pool of ``min(jobs,
+    os.cpu_count())`` workers.  The first call that fans out starts the
+    pool and later calls reuse it, workers and caches warm; a call of
+    another size shuts the old pool down first.  Any exception while the
+    pool runs (a worker's own error, a worker that died, an interrupt)
+    shuts the pool down and drops it before it propagates, so the next
+    call starts a fresh one.  ``concurrent.futures`` joins the pool at
+    interpreter exit, and ``_watch_owner`` ends the workers of an owner
+    that was killed.
     """
     global _pool
-    seen: set[Key] = set()
+    count = 0
     certified: Certified = {}
     cpus = os.cpu_count() or 1
     stripes = max(1, min(jobs, len(tasks), cpus))
@@ -289,16 +343,17 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[set, dict]:
         if _pool is not None and _pool[0] != size:
             _drop_pool()
         if _pool is None:
-            _pool = (size, ProcessPoolExecutor(max_workers=size))
+            pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+            _pool = (size, pool_class(max_workers=size, initializer=_watch_owner))
         try:
             results = list(_pool[1].map(worker, [(shared, tasks[i::stripes]) for i in range(stripes)]))
         except BaseException:
             _drop_pool(cancel_futures=True)
             raise
-    for part_seen, part_certified in results:
-        seen |= part_seen
+    for part_count, part_certified in results:
+        count += part_count
         certified.update(part_certified)
-    return seen, certified
+    return count, certified
 
 
 # -- generic mode ---------------------------------------------------------
@@ -345,7 +400,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
         key = canonical_key(weights, b_index, {pair: s.pattern for pair, s in zip(EDGE_PAIRS, summaries)})
         if key not in seen:
             seen.add(key)
-            _judge(weights, b_index, summaries, key, certified)
+            _judge(weights, b_index, summaries, lambda: key, certified)
             stack.append(summaries)
 
     reach((edge_summary(()),) * 6)
@@ -393,24 +448,37 @@ def _cy_case(config: SearchConfig) -> int:
     return 2
 
 
-def _cy_worker(args) -> tuple[set[Key], Certified]:
+def _cy_worker(args) -> tuple[int, Certified]:
+    """The number of forms among the tasks' combinations, and those of them
+    that certify, by canonical key."""
     (config, cy, step), tasks = args
     weights = config.weights
     b_index = config.boundary_index
     unit_boundary = _cy_case(config) == 3
     need = _corner_need(weights, b_index)
-    seen: set[Key] = set()
+    least, relabelings = corner_relabelings(weights, b_index)
+    assembled = 0
     certified: Certified = {}
     # the summary of the pattern on each edge, in EDGE_PAIRS order
     chosen: list[Optional[EdgeSummary]] = [None] * 6
 
+    def read_key() -> Key:
+        """The key of the combination in ``chosen`` under one relabelling."""
+        return least, least_reading(relabelings, [s.pattern for s in chosen])[0]
+
     def scan(levels: list[tuple[int, list[EdgeSummary]]], k: int, counts: list[int], left: int) -> None:
+        nonlocal assembled
         if k == len(levels):
             if all(map(int.__ge__, counts, need)):
-                key = canonical_key(weights, b_index, {edge: s.pattern for edge, s in zip(EDGE_PAIRS, chosen)})
-                if key not in seen:
-                    seen.add(key)
-                    _judge(weights, b_index, chosen, key, certified)
+                if len(relabelings) == 1:  # each combination is its own orbit
+                    key_of = read_key
+                else:  # count the one member of the orbit that its first relabelling reads least
+                    reading, first = least_reading(relabelings, [s.pattern for s in chosen])
+                    if not first:
+                        return
+                    key_of = lambda: (least, reading)
+                assembled += 1
+                _judge(weights, b_index, chosen, key_of, certified)
             return
         e, table = levels[k]
         i, j = EDGE_PAIRS[e]
@@ -433,7 +501,7 @@ def _cy_worker(args) -> tuple[set[Key], Certified]:
         fixed = cy[edge][idx] if unit_boundary else edge_summary(step[edge][idx])
         levels = [(e, [fixed])] + [(f, cy[EDGE_PAIRS[f]]) for f in range(6) if f != e]
         scan(levels, 0, [0, 0, 0, 0], config.max_blowups)
-    return seen, certified
+    return assembled, certified
 
 
 def cy_step_up_search(config: SearchConfig) -> SearchResult:
@@ -451,9 +519,9 @@ def cy_step_up_search(config: SearchConfig) -> SearchResult:
         tasks = [(0, k) for k in range(len(cy[EDGE_PAIRS[0]]))]
     else:
         tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
-    seen, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)
+    assembled, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)
     edge_patterns = sum(len(v) for v in cy.values()) + sum(len(v) for v in step.values())
-    return _result(certified, config.rho_filter, edge_patterns=edge_patterns, tasks=len(tasks), assembled=len(seen))
+    return _result(certified, config.rho_filter, edge_patterns=edge_patterns, tasks=len(tasks), assembled=assembled)
 
 
 def run_search(config: SearchConfig) -> SearchResult:

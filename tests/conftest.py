@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fourlines import graph as graphmod
+from fourlines import search as searchmod
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,6 +20,15 @@ def load_graph():
         return graphmod.parse((FIXTURES / f"{name}.graph").read_text())
 
     return _load
+
+
+@pytest.fixture
+def fresh_pool():
+    """No cached worker pool before or after the test, so a test sees every
+    pool its searches start, and leaves none forked under its patches."""
+    searchmod._drop_pool()
+    yield
+    searchmod._drop_pool()
 
 
 def random_graph(

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fourlines import graph as graphmod
+from fourlines import search as searchmod
 from fourlines.certify import certify
 from fourlines.cli import main
 
@@ -21,13 +24,16 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.graph")
 
 
+def source_env() -> dict:
+    """The environment with the checkout's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_optimized(*args, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``python -O`` on the checkout's sources; -O strips every assert."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-O", *args], capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-O", *args], capture_output=True, text=True, timeout=timeout, env=source_env(),
     )
 
 
@@ -277,6 +283,84 @@ def test_search_with_a_pool_exits_cleanly():
     assert (pooled.returncode, pooled.stderr) == (0, "")
     assert inline.returncode == 0 and "minimum" in inline.stdout
     assert pooled.stdout == inline.stdout
+
+
+def test_a_search_that_does_not_fan_out_loads_no_multiprocessing():
+    """The pool module, and the multiprocessing it loads, is imported only
+    when a search first fans out."""
+    script = (
+        "import sys\n"
+        "import fourlines, fourlines.cli\n"
+        "result = fourlines.run_search(fourlines.SearchConfig((1, 2, 3, 5), boundary=True, max_blowups=12))\n"
+        "print(result.minimum, 'multiprocessing' in sys.modules)\n"
+    )
+    proc = run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1/462", "False"]
+
+
+def _die(args):
+    os._exit(1)
+
+
+def test_a_dead_worker_ends_search_with_an_error_line(capsys, monkeypatch, fresh_pool):
+    """A worker that dies breaks the pool: the search exits 1 with one
+    ``error:`` line and no traceback, and the next search starts afresh."""
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
+    argv = ("search", "--weights", "1,2,3,5", "--max-blowups", "12", "--jobs", "2")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(searchmod, "_cy_worker", _die)  # set before the pool forks
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "minimum" in out
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_end_when_their_owner_is_killed():
+    """A pool's workers end themselves within seconds of a SIGKILL on the
+    process that owns the pool."""
+    script = (
+        "import os, time\n"
+        "from fourlines import search\n"
+        "os.cpu_count = lambda: 2\n"
+        "search.run_search(search.SearchConfig((1, 2, 3, 5), max_blowups=12, jobs=2))\n"
+        "print(*search._pool[1]._processes, flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    owner = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=source_env())
+    stuck = threading.Timer(60, owner.kill)  # bounds the read of the worker pids
+    stuck.start()
+    workers = []
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) == 2 and all(map(_alive, workers))
+        owner.kill()
+        owner.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_alive, workers))
+    finally:
+        stuck.cancel()
+        owner.kill()
+        owner.wait(timeout=10)
+        owner.stdout.close()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_invisible_finds_the_462_class(capsys):

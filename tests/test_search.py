@@ -17,7 +17,16 @@ import pytest
 
 from fourlines import search as searchmod
 from fourlines.certify import certify, classify_near_cy, edge_summary
-from fourlines.graph import EDGE_PAIRS, VisibleGraph, _stern_brocot_parents, new_base, parse, serialize
+from fourlines.graph import (
+    EDGE_PAIRS,
+    VisibleGraph,
+    _stern_brocot_parents,
+    canonical_key,
+    corner_relabelings,
+    new_base,
+    parse,
+    serialize,
+)
 from fourlines.search import (
     SearchConfig,
     cy_edge_enumerate,
@@ -223,15 +232,6 @@ def test_cy_search_enumerates_each_edge_once(monkeypatch):
         result = cy_step_up_search(SearchConfig(weights, boundary=boundary, max_blowups=10))
         assert result.explored["assembled"] > 0
         assert top_level == [1] * 6  # one pass per edge, allowing one step
-
-
-@pytest.fixture
-def fresh_pool():
-    """No cached worker pool before or after the test, so a test sees every
-    pool its searches start, and leaves none forked under its patches."""
-    searchmod._drop_pool()
-    yield
-    searchmod._drop_pool()
 
 
 def counting_pool(monkeypatch) -> list:
@@ -477,17 +477,17 @@ def test_generic_walk_builds_no_graph_by_insertion(monkeypatch):
 
 
 def certified_keys(config) -> set:
-    """The keys of every form a search certifies, read off ``_judge``."""
+    """The keys of every form a search certifies, read off the certified
+    forms that ``_result`` gets."""
     keys = set()
-    judge = searchmod._judge
+    result = searchmod._result
 
-    def recording(weights, boundary_index, summaries, key, certified):
-        judge(weights, boundary_index, summaries, key, certified)
-        if key in certified:
-            keys.add(key)
+    def recording(certified, *args, **counts):
+        keys.update(certified)
+        return result(certified, *args, **counts)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(searchmod, "_judge", recording)
+        mp.setattr(searchmod, "_result", recording)
         run_search(config)
     return keys
 
@@ -595,8 +595,8 @@ def test_cy_search_rho_filter():
 
 
 def test_cy_search_builds_each_form_once(monkeypatch):
-    """Repeated weights give duplicate edge content; its key is found
-    before the glue runs, and only the forms the glue certifies are
+    """Repeated weights give several combinations of one form; only one of
+    them is counted and glued, and only the forms the glue certifies are
     built, so the search builds each certified form and then each winner
     once."""
     real = VisibleGraph.from_edge_content
@@ -624,6 +624,73 @@ def test_best_graphs_reserialize_identically():
         again = parse(serialize(g))
         assert again == g
         assert certify(again).to_json() == rep.to_json()
+
+
+def bounded_product(tables, budget):
+    """Every choice of one summary per table whose patterns hold at most
+    ``budget`` pairs in all."""
+    if not tables:
+        yield ()
+        return
+    for s in tables[0]:
+        if len(s.pattern) <= budget:
+            for rest in bounded_product(tables[1:], budget - len(s.pattern)):
+                yield (s,) + rest
+
+
+def keyed_forms(config) -> set:
+    """The forms of a CY search by the rule its count replaced: every
+    corner-feasible combination within the budget (each task's pattern
+    times the other five CY tables), keyed by ``canonical_key``."""
+    weights, b_index = config.weights, config.boundary_index
+    cy, step = searchmod._cy_tables(config)
+    need = searchmod._corner_need(weights, b_index)
+    if searchmod._cy_case(config) == 3:
+        fixed = [(0, s) for s in cy[EDGE_PAIRS[0]]]
+    else:
+        fixed = [(e, edge_summary(p)) for e in range(6) for p in step[EDGE_PAIRS[e]]]
+    keys = set()
+    for e, first in fixed:
+        tables = [[first] if f == e else cy[EDGE_PAIRS[f]] for f in range(6)]
+        for combo in bounded_product(tables, config.max_blowups):
+            touches = [0, 0, 0, 0]
+            for (i, j), s in zip(EDGE_PAIRS, combo):
+                touches[i] += s.touches[0]
+                touches[j] += s.touches[1]
+            if all(t >= k for t, k in zip(touches, need)):
+                keys.add(canonical_key(weights, b_index, {pair: s.pattern for pair, s in zip(EDGE_PAIRS, combo)}))
+    return keys
+
+
+@pytest.mark.parametrize(
+    "weights,boundary,budget,group",
+    [
+        ((1, 2, 3, 5), False, 14, 1),
+        ((1, 1, 2, 3), False, 12, 2),
+        ((1, 1, 1, 2), False, 12, 6),
+        ((1, 1, 1, 1), False, 12, 24),
+        ((1, 2, 3, 5), True, 12, 1),
+        ((1, 1, 2, 2), True, 12, 2),
+        ((1, 2, 2, 3), True, 14, 2),
+        ((1, 1, 1, 1), True, 12, 6),
+        ((0, 1, 1, 1), True, 10, 6),
+    ],
+)
+def test_cy_count_equals_distinct_keys(monkeypatch, fresh_pool, weights, boundary, budget, group):
+    """The scan counts one combination per orbit of the relabellings that
+    keep the corner keys; that count is the number of distinct canonical
+    keys among all its combinations, and the forms it certifies are those
+    of them that ``certify`` passes, at one worker and at two."""
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
+    config = SearchConfig(weights, boundary=boundary, max_blowups=budget)
+    assert len(corner_relabelings(config.weights, config.boundary_index)[1]) == group
+    keys = keyed_forms(config)
+    passed = {key for key in keys if certify(VisibleGraph.from_canonical_key(key)).certified}
+    assert passed  # a cross-check where both sides find nothing proves nothing
+    for jobs in (1, 2):
+        config = replace(config, jobs=jobs)
+        assert run_search(config).explored["assembled"] == len(keys)
+        assert certified_keys(config) == passed
 
 
 def test_search_deterministic_across_jobs():
