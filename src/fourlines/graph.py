@@ -14,7 +14,8 @@ Interior vertices are tracked together with their multiplicity pair
 (m1, m2): the weight of an interior vertex on the edge between corners
 a and b equals m1*w(a) + m2*w(b) and the pair is always coprime.  The
 pair is the Stern-Brocot coordinate of the vertex inside its edge, and
-it determines the creation parents of the vertex uniquely.
+it determines the creation parents of the vertex uniquely, by one
+modular inverse.
 
 A graph's one identity is ``canonical_key`` of the corner weights, boundary
 and edge content alone; a corner relabeling is a list of reads into each
@@ -451,18 +452,27 @@ def canonical_key(
     minimum; with four distinct corner keys that is one of the 24.  Each is
     a fixed list of reads into the cached ``_orientations`` of the patterns.
     """
-    least, relabelings = corner_relabelings(weights, boundary_index)
+    least, relabelings = corner_relabelings(tuple(weights), boundary_index)
     return least, least_reading(relabelings, [content.get(pair, ()) for pair in EDGE_PAIRS])[0]
 
 
-def corner_relabelings(weights: Sequence[Rational], boundary_index: Optional[int]) -> tuple[tuple, tuple[tuple, ...]]:
+@lru_cache(maxsize=1024)
+def corner_relabelings(weights: tuple, boundary_index: Optional[int]) -> tuple[tuple, tuple[tuple, ...]]:
     """The sorted corner key, which every ``canonical_key`` of these corners
     shares, and the relabelings that can reach the least edge key, as the
-    argument ``least_reading`` takes.  Their order, and so which one is
-    first, is the same on every call."""
-    return _sorting_relabelings(tuple(
-        (w.numerator, w.denominator, i == boundary_index) for i, w in enumerate(weights)
-    ))
+    argument ``least_reading`` takes: for each permutation ``perm`` with
+    corner_key[perm[i]] == least[i], the reads of the new edges (i, j), the
+    index in EDGE_PAIRS of old edge {perm[i], perm[j]}, read from its second
+    corner (side 1) when perm[i] > perm[j].  Their order, and so which one
+    is first, is the same on every call.
+    """
+    corner_key = tuple((w.numerator, w.denominator, i == boundary_index) for i, w in enumerate(weights))
+    least = tuple(sorted(corner_key))
+    return least, tuple(
+        tuple((EDGE_PAIRS.index(tuple(sorted((perm[i], perm[j])))), int(perm[i] > perm[j])) for i, j in EDGE_PAIRS)
+        for perm in permutations(range(4))
+        if all(corner_key[perm[i]] == least[i] for i in range(4))
+    )
 
 
 def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple, bool]:
@@ -482,20 +492,6 @@ def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tu
 
 
 @lru_cache(maxsize=1024)
-def _sorting_relabelings(corner_key: tuple) -> tuple[tuple, tuple[tuple, ...]]:
-    """The sorted corner key and, for each permutation ``perm`` with
-    corner_key[perm[i]] in it, the reads of the new edges (i, j): the index
-    in EDGE_PAIRS of old edge {perm[i], perm[j]}, read from its second
-    corner (side 1) when perm[i] > perm[j]."""
-    least = tuple(sorted(corner_key))
-    return least, tuple(
-        tuple((EDGE_PAIRS.index(tuple(sorted((perm[i], perm[j])))), int(perm[i] > perm[j])) for i, j in EDGE_PAIRS)
-        for perm in permutations(range(4))
-        if all(corner_key[perm[i]] == least[i] for i in range(4))
-    )
-
-
-@lru_cache(maxsize=1024)
 def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int], ...]):
     """Insertions, new ids and interior tables of edge (i, j) from ``ci`` to ``cj``.
 
@@ -511,7 +507,7 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
     p._edge, p._frac, p._parents, p._history, p._vertices = {}, {}, {}, [], []
     ids = {(1, 0): ci, (0, 1): cj}
     for m1, m2 in sorted(pattern, key=_creation_order):
-        if min(m1, m2) < 1 or gcd(m1, m2) != 1:  # no Stern-Brocot pair; the descent would not end
+        if min(m1, m2) < 1 or gcd(m1, m2) != 1:  # no Stern-Brocot pair, so no parents
             raise GraphError(f"pair {(m1, m2)} on edge {(i, j)} is not a coprime positive pair")
         p1, p2 = _stern_brocot_parents(m1, m2)
         if p1 not in ids or p2 not in ids:
@@ -523,26 +519,18 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
     return tuple(p._history), tuple(p._vertices), tables, ends
 
 
-@lru_cache(maxsize=4096)
 def _stern_brocot_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Creation parents of the coprime pair (m1, m2).
+    """Creation parents of the coprime positive pair (m1, m2).
 
     The parents are the unique pair of coordinates (p1, p2), (q1, q2)
-    with p1+q1 = m1, p2+q2 = m2 and cross determinant +-1, the corners
-    being (1, 0) and (0, 1).
+    with p1+q1 = m1, p2+q2 = m2 and p1*q2 - p2*q1 = 1, the corners being
+    (1, 0) and (0, 1).  That determinant equals p1*m2 - p2*m1, so p1 is
+    the inverse of m2 modulo m1 in 1..m1 (m1 itself only at m1 = 1), and
+    p2 follows.
     """
-    if (m1, m2) == (1, 1):
-        return (1, 0), (0, 1)
-    lo, hi = (1, 0), (0, 1)
-    cur = (1, 1)
-    while cur != (m1, m2):
-        # descend: compare m1/m2 with cur as fractions (larger = closer to lo)
-        if m1 * cur[1] > m2 * cur[0]:
-            hi = cur
-        else:
-            lo = cur
-        cur = (lo[0] + hi[0], lo[1] + hi[1])
-    return lo, hi
+    p1 = pow(m2, -1, m1) or m1
+    p2 = (p1 * m2 - 1) // m1
+    return (p1, p2), (m1 - p1, m2 - p2)
 
 
 # -- module-level operations ----------------------------------------------

@@ -39,14 +39,15 @@ search that fans out imports the pool module (which loads
 ``multiprocessing``) and starts it, every later search of that size
 reuses it (a search of another size replaces it, and one that fails
 drops it, so the next starts afresh), and ``concurrent.futures`` joins
-it when the interpreter exits; a worker whose owner process is gone
-ends itself.  The CY tables are built once per search and handed to the
-workers.  A task fixes one edge's pattern and is the first level of one
-scan over the six edges; every level applies its pattern's corner
-touches and insertions alike, and a combination is counted only if each
-corner has the touches ``_corner_need`` asks; the generic walk prunes by
-the same rule.  Both modes end in ``_result``, which builds the
-least-volume forms from their keys.
+it when the interpreter exits; a worker ends itself as soon as its owner
+process is gone, under every start method.  The CY tables are built once
+per search and handed to the workers.  A task fixes one edge's pattern
+and is the first level of one scan over the six edges; every level
+applies its pattern's corner touches and insertions alike, and a
+combination is counted only if each corner has the touches
+``_corner_need`` asks; the generic walk prunes by the same rule.  Both
+modes end in ``_result``, which builds the least-volume forms from their
+keys.
 """
 
 from __future__ import annotations
@@ -54,13 +55,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from .certify import EdgeSummary, SurfaceReport, certify, edge_summary, glue
-from .graph import EDGE_PAIRS, VisibleGraph, canonical_key, corner_relabelings, least_reading
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+from .graph import EDGE_PAIRS, VisibleGraph, corner_relabelings, least_reading
 
 __all__ = [
     "GENERIC",
@@ -267,48 +265,36 @@ def _result(certified: Certified, rho_filter: Optional[int], **counts: int) -> S
     return SearchResult(best=best, explored=explored)
 
 
-def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported on first use: its module loads
-    ``multiprocessing``, which a search that does not fan out never needs.
-    It is kept as a module global, where ``_run_tasks`` looks it up."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _watch_owner() -> None:
-    """Pool initializer: a daemon thread ends this worker within about a
-    second of its parent process going away, for a worker whose owner was
-    killed would otherwise wait for work forever.  The parent is the owner
-    under the ``fork`` and ``spawn`` start methods, and under
-    ``forkserver`` the server, which ends with the owner."""
+    """Pool initializer: a daemon thread ends this worker as soon as the
+    process that started the pool ends, for a worker whose owner was killed
+    would otherwise wait for work forever.  ``parent_process()`` is that
+    owner under every start method, ``forkserver`` included, and its
+    sentinel becomes ready when the owner ends."""
     import threading
-    import time
+    from multiprocessing import connection, parent_process
 
-    parent = os.getppid()
+    sentinel = parent_process().sentinel
 
     def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(1)
+        connection.wait([sentinel])
         os._exit(1)
 
     threading.Thread(target=watch, name="owner-watch", daemon=True).start()
 
 
-# The CY searches' one worker pool, as (size, pool); see ``_run_tasks``.
-_pool: Optional[tuple[int, "ProcessPoolExecutor"]] = None
+# The CY searches' one worker pool, as (size, ProcessPoolExecutor); see ``_run_tasks``.
+_pool: Optional[tuple[int, object]] = None
 
 
-def _drop_pool(cancel_futures: bool = False) -> None:
-    """Shut the cached pool down, waiting for its workers, and forget it."""
+def _drop_pool() -> None:
+    """Shut the cached pool down, cancelling any pending work and waiting
+    for its workers, and forget it."""
     global _pool
     if _pool is not None:
         pool = _pool[1]
         _pool = None
-        pool.shutdown(wait=True, cancel_futures=cancel_futures)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
@@ -328,8 +314,8 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
     pool runs (a worker's own error, a worker that died, an interrupt)
     shuts the pool down and drops it before it propagates, so the next
     call starts a fresh one.  ``concurrent.futures`` joins the pool at
-    interpreter exit, and ``_watch_owner`` ends the workers of an owner
-    that was killed.
+    interpreter exit, and ``_watch_owner`` ends the workers at once when
+    their owner is killed, under every start method.
     """
     global _pool
     count = 0
@@ -343,12 +329,13 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
         if _pool is not None and _pool[0] != size:
             _drop_pool()
         if _pool is None:
-            pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-            _pool = (size, pool_class(max_workers=size, initializer=_watch_owner))
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which inline runs never need
+
+            _pool = (size, ProcessPoolExecutor(max_workers=size, initializer=_watch_owner))
         try:
             results = list(_pool[1].map(worker, [(shared, tasks[i::stripes]) for i in range(stripes)]))
         except BaseException:
-            _drop_pool(cancel_futures=True)
+            _drop_pool()
             raise
     for part_count, part_certified in results:
         count += part_count
@@ -392,12 +379,13 @@ def generic_search(config: SearchConfig) -> SearchResult:
         raise ValueError("generic_search needs mode='generic'")
     weights, b_index = config.weights, config.boundary_index
     need = _corner_need(weights, b_index)
+    least, relabelings = corner_relabelings(weights, b_index)
     seen: set[Key] = set()
     certified: Certified = {}
     stack: list[tuple[EdgeSummary, ...]] = []
 
     def reach(summaries: tuple[EdgeSummary, ...]) -> None:
-        key = canonical_key(weights, b_index, {pair: s.pattern for pair, s in zip(EDGE_PAIRS, summaries)})
+        key = least, least_reading(relabelings, [s.pattern for s in summaries])[0]
         if key not in seen:
             seen.add(key)
             _judge(weights, b_index, summaries, lambda: key, certified)
@@ -470,15 +458,12 @@ def _cy_worker(args) -> tuple[int, Certified]:
         nonlocal assembled
         if k == len(levels):
             if all(map(int.__ge__, counts, need)):
-                if len(relabelings) == 1:  # each combination is its own orbit
-                    key_of = read_key
-                else:  # count the one member of the orbit that its first relabelling reads least
-                    reading, first = least_reading(relabelings, [s.pattern for s in chosen])
-                    if not first:
-                        return
-                    key_of = lambda: (least, reading)
+                # count the one member of each orbit that its first relabelling reads least;
+                # with one relabelling each combination is its own orbit
+                if len(relabelings) > 1 and not least_reading(relabelings, [s.pattern for s in chosen])[1]:
+                    return
                 assembled += 1
-                _judge(weights, b_index, chosen, key_of, certified)
+                _judge(weights, b_index, chosen, read_key, certified)
             return
         e, table = levels[k]
         i, j = EDGE_PAIRS[e]

@@ -181,14 +181,12 @@ def discrepancy_numerators(
     return out
 
 
-def solve_discrepancies(
-    graph: "VisibleGraph", chain_list: Optional[Sequence[Chain]] = None
-) -> dict[str, Fraction]:
+def solve_discrepancies(graph: "VisibleGraph") -> dict[str, Fraction]:
     """Exact solution of the discrepancy system, one entry per black vertex.
 
     As ``discrepancy_numerators``, with each entry reduced to a Fraction.
     """
-    return {v: Fraction(num, det) for v, (num, det) in discrepancy_numerators(graph, chain_list).items()}
+    return {v: Fraction(num, det) for v, (num, det) in discrepancy_numerators(graph).items()}
 
 
 @lru_cache(maxsize=8192)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,14 @@ from fourlines import graph as graphmod
 from fourlines import search as searchmod
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@contextmanager
+def deadline(seconds: float):
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.1f}s, budget {seconds}s"
 
 
 @pytest.fixture

@@ -14,13 +14,11 @@ and the brute-force cross-check about five each.
 from __future__ import annotations
 
 import random
-import time
-from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
-from conftest import FIXTURES
+from conftest import FIXTURES, deadline
 from test_certify import FIXTURE_NAMES
 from test_closed_forms import (
     CRITICAL,
@@ -57,14 +55,6 @@ from fourlines.search import (
     run_search,
 )
 from fourlines.singularities import chain_determinant, solve_discrepancies
-
-
-@contextmanager
-def deadline(seconds: float):
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"took {elapsed:.1f}s, budget {seconds}s"
 
 
 def load(name: str):

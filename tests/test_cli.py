@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -326,18 +327,42 @@ def _alive(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
+def under_start_method(method: str, body: str) -> str:
+    """A script that sets the multiprocessing start method, lets the search
+    see two CPUs and runs ``body``, all under a ``__main__`` guard."""
+    lines = [f"multiprocessing.set_start_method({method!r}, force=True)", "os.cpu_count = lambda: 2"]
+    lines += body.splitlines()
+    return "import multiprocessing, os, sys, time\nif __name__ == '__main__':\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_search_prints_the_same_under_every_start_method(method):
+    """A --jobs 2 search prints what --jobs 1 prints, whichever way the
+    pool's workers are started."""
+    script = under_start_method(method, (
+        "from fourlines.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sys.modules['fourlines.search']._pool is not None, file=sys.stderr)\n"
+        "sys.exit(code)"
+    ))
+    argv = ("search", "--weights", "1,2,3,5", "--max-blowups", "18", "--jobs")
+    inline, pooled = (run_optimized("-c", script, *argv, jobs, timeout=60) for jobs in ("1", "2"))
+    assert (inline.returncode, inline.stderr) == (0, "False\n")
+    assert (pooled.returncode, pooled.stderr) == (0, "True\n")
+    assert "minimum" in inline.stdout and pooled.stdout == inline.stdout
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_workers_end_when_their_owner_is_killed():
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_workers_end_when_their_owner_is_killed(method):
     """A pool's workers end themselves within seconds of a SIGKILL on the
-    process that owns the pool."""
-    script = (
-        "import os, time\n"
+    process that owns the pool, whichever way they were started."""
+    script = under_start_method(method, (
         "from fourlines import search\n"
-        "os.cpu_count = lambda: 2\n"
         "search.run_search(search.SearchConfig((1, 2, 3, 5), max_blowups=12, jobs=2))\n"
         "print(*search._pool[1]._processes, flush=True)\n"
-        "time.sleep(120)\n"
-    )
+        "time.sleep(120)"
+    ))
     owner = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=source_env())
     stuck = threading.Timer(60, owner.kill)  # bounds the read of the worker pids
     stuck.start()

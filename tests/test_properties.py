@@ -4,7 +4,8 @@ file format, the discrepancy core, the CY edge tables and the glue.
 Each fast path is compared with a slow reference: the canonical key with
 the minimum over all 24 corner relabelings, the copying ``insert`` and
 the piece-merging ``from_edge_content`` with a replay of the whole
-history, the integer continuant discrepancies with Fraction Gaussian
+history, the closed-form Stern-Brocot parents with a descent of the
+tree, the integer continuant discrepancies with Fraction Gaussian
 elimination, the one-pass edge tables of a CY search with the public
 per-edge enumerators, and the glue's verdict from edge summaries with
 ``certify`` on the built graph, and the generic walk's mark deficit from
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -38,7 +39,7 @@ from fourlines.certify import CHECKS, certify, edge_summary, glue
 from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, run_search, step_edge_enumerate
 from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
 
-from conftest import random_graph
+from conftest import deadline, random_graph
 
 #: weight vectors with repeated entries give several least relabelings
 WEIGHT_VECTORS = ((1, 1, 2, 3), (0, 1, 1, 1), (1, 1, 1, 1), (2, 2, 3, 3), (1, 2, 3, 5))
@@ -229,6 +230,34 @@ def test_from_edge_content_rejects_a_pair_without_its_parents():
 def test_from_edge_content_rejects_a_pair_outside_the_stern_brocot_tree(pair):
     with pytest.raises(GraphError, match="coprime positive"):
         VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(1, 3): [(1, 1), pair]})
+
+
+def descended_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Creation parents of the coprime positive pair (m1, m2), by descending
+    the Stern-Brocot tree from (1, 1), one mediant per step."""
+    lo, hi, cur = (1, 0), (0, 1), (1, 1)
+    while cur != (m1, m2):
+        # compare m1/m2 with cur as fractions (larger = closer to lo)
+        if m1 * cur[1] > m2 * cur[0]:
+            hi = cur
+        else:
+            lo = cur
+        cur = (lo[0] + hi[0], lo[1] + hi[1])
+    return lo, hi
+
+
+def test_stern_brocot_parents_equal_the_descent():
+    pairs = [(m1, m2) for m1 in range(1, 300) for m2 in range(1, 300) if gcd(m1, m2) == 1]
+    assert len(pairs) == 54635
+    for m1, m2 in pairs:
+        assert _stern_brocot_parents(m1, m2) == descended_parents(m1, m2), (m1, m2)
+
+
+def test_a_lopsided_pair_lacks_its_parents_at_once():
+    """The parents of (1, 10**7) are (1, 10**7 - 1) and (0, 1); the descent
+    to them takes one step per unit of the second entry."""
+    with deadline(0.5), pytest.raises(GraphError, match="lacks a creation parent"):
+        VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(0, 1): [(1, 10**7)]})
 
 
 def test_from_edge_content_rejects_an_interior_id_equal_to_a_corner():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
 import sys
@@ -238,12 +239,12 @@ def counting_pool(monkeypatch) -> list:
     """Make ``search`` start counted pools; returns the size of each."""
     sizes = []
 
-    class CountingPool(searchmod.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(searchmod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return sizes
 
 
@@ -265,7 +266,7 @@ def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch, fresh_pool):
     config = SearchConfig((1, 2, 3, 5), max_blowups=10)
     expected = cy_step_up_search(config).explored
     monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(searchmod, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     huge = cy_step_up_search(SearchConfig((1, 2, 3, 5), max_blowups=10, jobs=10**6))
     assert huge.explored == expected
     assert expected["assembled"] > 0
@@ -280,7 +281,7 @@ def test_generic_search_starts_no_pool(monkeypatch, fresh_pool):
 
     kwargs = dict(weights=(0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic")
     expected = result_snapshot(generic_search(SearchConfig(jobs=1, **kwargs)))
-    monkeypatch.setattr(searchmod, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     assert result_snapshot(generic_search(SearchConfig(jobs=4, **kwargs))) == expected
     assert expected[1]["certified"] > 0
 
