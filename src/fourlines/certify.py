@@ -15,7 +15,11 @@ The sums run on integer numerators over the chain determinants
 (``singularities.discrepancy_numerators``); a Fraction is built only for
 a report field or a reason.  ``glue`` reaches certify's verdict on a
 graph given by edge content from cached per-edge summaries, without
-building the graph.
+building the graph; it and ``edge_summary`` take each chain's volume
+term from the chain core, the third value of
+``singularities._chain_discrepancies``, while ``volume`` sums
+b (mark - 2) vertex by vertex, so the search's cross-check of the glue
+against certify compares two independent volume formulas.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
@@ -141,18 +144,16 @@ def _ratio_sum(terms: Iterable[tuple[int, int]], num: int = 0, den: int = 1) -> 
     return num, den
 
 
-def _kc_ratio(graph: "VisibleGraph", b: Discrepancies, white: str) -> tuple[int, int]:
-    """kc_degree as an unreduced pair."""
+def _degree_ratio(graph: "VisibleGraph", b: Discrepancies, v: str, base: int) -> tuple[int, int]:
+    """base plus the b of v's black neighbours, as an unreduced pair."""
     bd = graph.boundary
-    total = -1
-    terms = []
-    for u in graph.neighbors(white):
-        if u == bd:
-            total = 0
-        elif graph.mark(u) >= 2:
-            x = b[u]
-            terms.append((x.numerator, x.denominator))
-    return _ratio_sum(terms, total)
+    xs = [b[u] for u in graph.neighbors(v) if u != bd and graph.mark(u) >= 2]
+    return _ratio_sum(((x.numerator, x.denominator) for x in xs), base)
+
+
+def _kc_ratio(graph: "VisibleGraph", b: Discrepancies, white: str) -> tuple[int, int]:
+    """kc_degree as an unreduced pair: base -1, or 0 next to the boundary."""
+    return _degree_ratio(graph, b, white, 0 if graph.boundary in graph.neighbors(white) else -1)
 
 
 def kc_degree(graph: "VisibleGraph", b: Discrepancies, white: str) -> Fraction:
@@ -174,7 +175,8 @@ def volume(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
         ((x.numerator * (mark(v) - 2), x.denominator) for v, x in b.items()), 9 - graph.blowups
     )
     if graph.boundary is not None:
-        num, den = _ratio_sum([_epsilon1_ratio(graph, b)], num + (mark(graph.boundary) - 2) * den, den)
+        eps = _degree_ratio(graph, b, graph.boundary, -2)
+        num, den = _ratio_sum([eps], num + (mark(graph.boundary) - 2) * den, den)
     return Fraction(num, den)
 
 
@@ -236,18 +238,11 @@ def classify_near_cy(graph: "VisibleGraph") -> NearCY:
     return NearCY("general")
 
 
-def _epsilon1_ratio(graph: "VisibleGraph", b: Discrepancies) -> tuple[int, int]:
-    """epsilon1 as an unreduced pair."""
-    bd = graph.boundary
-    if bd is None:
-        raise ValueError("graph has no boundary")
-    blacks = [b[v] for v in graph.neighbors(bd) if graph.mark(v) >= 2]
-    return _ratio_sum(((x.numerator, x.denominator) for x in blacks), -2)
-
-
 def epsilon1(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
     """Boundary excess: -2 plus the b_i over the boundary's black neighbours."""
-    return Fraction(*_epsilon1_ratio(graph, b))
+    if graph.boundary is None:
+        raise ValueError("graph has no boundary")
+    return Fraction(*_degree_ratio(graph, b, graph.boundary, -2))
 
 
 def delta1(graph: "VisibleGraph", near: Optional[NearCY] = None) -> Optional[Fraction]:
@@ -324,7 +319,7 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
 
     return SurfaceReport(
         volume=vol, rho=rho, blowups=blowups,
-        singularities=[(chain, chain.determinant()) for chain in chain_list],
+        singularities=[(chain, b[chain.vertex_ids[0]].denominator) for chain in chain_list],
         epsilon1=eps, delta1=delta1(graph, near), status=status, near_cy=near,
         reasons=reasons, log_canonical_only=log_canonical_only,
     )
@@ -372,7 +367,7 @@ class EdgeSummary(NamedTuple):
     one_face: bool
     #: a white between the faces has negative degree
     inner_negative: bool
-    #: the sum of b (mark - 2) over the inner runs
+    #: the sum of b (mark - 2) over the inner runs, from the chain core
     inner_volume: tuple[int, int]
     #: the interior whites' pairs
     whites: tuple[tuple[int, int], ...]
@@ -398,8 +393,8 @@ def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
         if black:
             at = list(group)
             run = tuple(marks[k] for k in at)
-            det, nums = singularities._chain_discrepancies(run, (0,) * len(run))
-            vol = _ratio_sum([(sum(map(mul, nums, run)) - 2 * sum(nums), det)], *vol)
+            det, nums, run_volume = singularities._chain_discrepancies(run, (0,) * len(run))
+            vol = _ratio_sum([(run_volume, det)], *vol)
             b.update((k, (num, det)) for k, num in zip(at, nums))
 
     def degree(k: int, *sides: int) -> tuple[int, int]:
@@ -446,7 +441,9 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
     bare edge, leads straight to the far corner; a faced arm leads
     through its tail to the face.  The black components through the
     corners are joined from the tails and solved through the same cached
-    chain core as certify's.
+    chain core as certify's, which also gives each chain's volume term.
+    A chain vertex meets the boundary exactly when it taps the boundary
+    excess, so the chain's contacts are read from its taps.
     """
     bd = boundary_index
     mark = [-1, -1, -1, -1]
@@ -486,22 +483,18 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
             elif not s.tails[end]:
                 num[_face(s, e, end)] += den[_face(s, e, end)]
 
-    chains = []  # (marks, contacts, taps); a tap (position, slot) adds b there to the slot
+    # a chain is (marks, taps); a tap (position, slot) adds the b there to
+    # the slot.  Next to a corner that is not black the slot is _EXCESS for
+    # the boundary, else the white corner itself, so a chain vertex meets
+    # the boundary exactly when it taps _EXCESS: the taps give the contacts.
+    slot = [_EXCESS if c == bd else c for c in range(4)]
+    chains = []
 
-    def near_corner(x: int, pos: int, contacts: list, taps: list) -> None:
-        # the chain vertex at pos meets the corner x, which is not black
-        if x == bd:
-            contacts[pos] = 1
-            taps.append((pos, _EXCESS))
-        else:
-            taps.append((pos, x))
-
-    def add_tail(e: int, end: int, run: tuple, marks: list, contacts: list, taps: list, head: bool = False) -> None:
+    def add_tail(e: int, end: int, run: tuple, marks: list, taps: list, head: bool = False) -> None:
         # run read from its corner outward, which a head run reverses; its
         # outer vertex meets the face
         pos = len(marks) if head else len(marks) + len(run) - 1
         marks.extend(run[::-1] if head else run)
-        contacts.extend([0] * len(run))
         taps.append((pos, _face(summaries[e], e, end)))
 
     walked = set()
@@ -518,48 +511,48 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
             path.append(step[0])
         walked.update(path)
         marks: list = []
-        contacts: list = []
         taps: list = []
         for tail in runs[path[0]][:1]:
-            add_tail(*tail, marks, contacts, taps, head=True)
+            add_tail(*tail, marks, taps, head=True)
         for corner in path:
             pos = len(marks)
             marks.append(mark[corner])
-            contacts.append(0)
             for e, end, x in _ARMS[corner]:
                 s = summaries[e]
                 if s.faces is None:
                     if not black[x]:
-                        near_corner(x, pos, contacts, taps)
+                        taps.append((pos, slot[x]))
                 elif not s.tails[end]:
                     taps.append((pos, _face(s, e, end)))
         for tail in runs[path[-1]][1 if len(path) == 1 else 0:]:
-            add_tail(*tail, marks, contacts, taps)
-        chains.append((marks, contacts, taps))
+            add_tail(*tail, marks, taps)
+        chains.append((marks, taps))
     if len(walked) < len(links):
         return Verdict("chain")  # a cycle through the corners
 
     # tails that meet no black corner are chains of their own
     for e, s in enumerate(summaries):
         for end, c in enumerate(EDGE_PAIRS[e]):
-            if s.tails[end] and not black[c]:
-                marks, contacts, taps = [], [], []
-                add_tail(e, end, s.tails[end], marks, contacts, taps)
-                near_corner(c, 0, contacts, taps)
-                chains.append((marks, contacts, taps))
+            run = s.tails[end]
+            if run and not black[c]:
+                chains.append((run, [(len(run) - 1, _face(s, e, end)), (0, slot[c])]))
 
     bad = False
     volumes = [s.inner_volume for s in summaries]
-    for marks, contacts, taps in chains:
-        det, nums = singularities._chain_discrepancies(tuple(marks), tuple(contacts))
+    for marks, taps in chains:
+        contacts = [0] * len(marks)
+        for pos, to in taps:
+            if to == _EXCESS:
+                contacts[pos] = 1
+        det, nums, vol = singularities._chain_discrepancies(tuple(marks), tuple(contacts))
         bad = bad or max(nums) > det or min(nums) < 0
-        volumes.append((sum(map(mul, nums, marks)) - 2 * sum(nums), det))
-        for pos, slot in taps:
-            d = den[slot]
+        volumes.append((vol, det))
+        for pos, to in taps:
+            d = den[to]
             if d == det:
-                num[slot] += nums[pos]
+                num[to] += nums[pos]
             else:
-                num[slot], den[slot] = num[slot] * det + nums[pos] * d, d * det
+                num[to], den[to] = num[to] * det + nums[pos] * d, d * det
     if bad:
         return Verdict("discrepancy")
     if any(s.inner_negative for s in summaries) or any(num[k] < 0 for k in range(17) if k != _EXCESS):
@@ -577,7 +570,7 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
         n <= 0
         or any(c != bd and not black[c] and weights[c] < n for c in range(4))
         or (bd is not None and weights[bd] < 0)
-        or not all(_heavy(s.whites, weights[i], weights[j], n) for s, (i, j) in zip(summaries, EDGE_PAIRS))
+        or any(_light_whites(s.whites, weights[i], weights[j], n) for s, (i, j) in zip(summaries, EDGE_PAIRS))
     ):
         return Verdict("weights")
     rho = 1 + blowups - sum(s.blacks for s in summaries) - sum(black)
@@ -585,9 +578,9 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
 
 
 @lru_cache(maxsize=4096)
-def _heavy(whites: tuple[tuple[int, int], ...], w_a: Rational, w_b: Rational, n: Rational) -> bool:
-    """Whether every white pair weighs at least n on an edge with corner weights w_a, w_b."""
-    return all(m1 * w_a + m2 * w_b >= n for m1, m2 in whites)
+def _light_whites(whites: tuple[tuple[int, int], ...], w_a: Rational, w_b: Rational, n: Rational) -> int:
+    """How many white pairs weigh less than n on an edge with corner weights w_a, w_b."""
+    return sum(m1 * w_a + m2 * w_b < n for m1, m2 in whites)
 
 
 def find_ample_weights(graph: "VisibleGraph") -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:

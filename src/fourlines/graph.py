@@ -185,20 +185,12 @@ class VisibleGraph:
         if b not in adj[a]:
             raise GraphError(f"{a!r} and {b!r} are not adjacent")
 
-        ea = self._edge.get(a)
-        eb = self._edge.get(b)
-        if ea is None and eb is None:
-            edge = tuple(sorted((self._cindex[a], self._cindex[b])))
-        elif ea is not None and eb is not None:
-            if ea != eb:
-                raise GraphError(f"{a!r} and {b!r} lie on different edges")
-            edge = ea
-        else:
-            edge = ea if ea is not None else eb
-        fa = self._frac_on(a, edge)
-        fb = self._frac_on(b, edge)
-        self._edge[new] = edge
-        self._frac[new] = (fa[0] + fb[0], fa[1] + fb[1])
+        # adjacent curves lie on one edge path: an interior one names the
+        # edge, and a corner is its first end (1, 0) or its second (0, 1)
+        cindex, frac = self._cindex, self._frac
+        edge = self._edge[new] = self._edge.get(a) or self._edge.get(b) or tuple(sorted((cindex[a], cindex[b])))
+        (a1, a2), (b1, b2) = (frac.get(v) or ((1, 0) if cindex[v] == edge[0] else (0, 1)) for v in (a, b))
+        frac[new] = (a1 + b1, a2 + b2)
 
         self._mark[a] += 1
         self._mark[b] += 1
@@ -225,16 +217,6 @@ class VisibleGraph:
         mark, bd = self._mark, self.boundary
         self._whites = tuple(v for v in self.vertices if mark[v] == 1 and v != bd)
         self._blacks = tuple(v for v in self.vertices if mark[v] >= 2 and v != bd)
-
-    def _frac_on(self, v: str, edge: tuple[int, int]) -> tuple[int, int]:
-        if v in self._frac:
-            return self._frac[v]
-        i = self._cindex[v]
-        if i == edge[0]:
-            return (1, 0)
-        if i == edge[1]:
-            return (0, 1)
-        raise GraphError(f"corner {v!r} does not bound edge {edge}")
 
     def insert(self, a: str, b: str, new_id: str) -> "VisibleGraph":
         """Blow up the intersection of the adjacent curves ``a`` and ``b``.

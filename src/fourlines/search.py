@@ -38,8 +38,8 @@ per process, of ``min(jobs, os.cpu_count())`` processes: the first
 search that fans out imports the pool module (which loads
 ``multiprocessing``) and starts it, every later search of that size
 reuses it (a search of another size replaces it, and one that fails
-drops it, so the next starts afresh), and ``concurrent.futures`` joins
-it when the interpreter exits; a worker ends itself as soon as its owner
+drops it, so the next starts afresh), and an ``atexit`` hook drops it
+when the interpreter exits; a worker ends itself as soon as its owner
 process is gone, under every start method.  The CY tables are built once
 per search and handed to the workers.  A task fixes one edge's pattern
 and is the first level of one scan over the six edges; every level
@@ -52,12 +52,13 @@ keys.
 
 from __future__ import annotations
 
+import atexit
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .certify import EdgeSummary, SurfaceReport, certify, edge_summary, glue
+from .certify import EdgeSummary, SurfaceReport, _light_whites, certify, edge_summary, glue
 from .graph import EDGE_PAIRS, VisibleGraph, corner_relabelings, least_reading
 
 __all__ = [
@@ -297,6 +298,11 @@ def _drop_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+# dropped while the interpreter is whole: collected during module
+# teardown, the pool would reach concurrent.futures after it lost its globals
+atexit.register(_drop_pool)
+
+
 def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
     """Fan tasks out over processes; add the counts, union the certified dicts.
 
@@ -313,7 +319,7 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
     another size shuts the old pool down first.  Any exception while the
     pool runs (a worker's own error, a worker that died, an interrupt)
     shuts the pool down and drops it before it propagates, so the next
-    call starts a fresh one.  ``concurrent.futures`` joins the pool at
+    call starts a fresh one.  An ``atexit`` hook drops the pool at
     interpreter exit, and ``_watch_owner`` ends the workers at once when
     their owner is killed, under every start method.
     """
@@ -363,7 +369,7 @@ def _mark_deficit(weights, need: list[int], summaries) -> int:
     for (i, j), s in zip(EDGE_PAIRS, summaries):
         counts[i] += s.touches[0]
         counts[j] += s.touches[1]
-        deficit += sum(m1 * weights[i] + m2 * weights[j] < n for m1, m2 in s.whites)
+        deficit += _light_whites(s.whites, weights[i], weights[j], n)
     return deficit + sum(max(0, k - c) for k, c in zip(need, counts))
 
 

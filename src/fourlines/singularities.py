@@ -24,9 +24,12 @@ its boundary contacts, hence
 an integer numerator over d_k; with no boundary contact this is
 b_j = 1 - (d_{j-1} + d'_{k-j}) / d_k.  The numerators are substituted
 back into the system multiplied by d_k, in integers, and any nonzero
-residual raises ArithmeticError.  The solution depends only on the marks
-and the contacts, so it is cached on them: a search meets the same few
-hundred chains thousands of times.
+residual raises ArithmeticError.  The same solve also returns the
+chain's volume numerator, the sum of b_j (a_j - 2) times d_k, which is
+the chain's term in the adjunction sum K^2 = 9 - blowups + sum of
+b_v (a_v - 2).  The solution depends only on the marks and the contacts,
+so it is cached on them: a search meets the same few hundred chains
+thousands of times.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ def discrepancy_numerators(
         contacts = tuple(
             int(boundary is not None and graph.adjacent(v, boundary)) for v in chain.vertex_ids
         )
-        det, nums = _chain_discrepancies(tuple(chain.marks), contacts)
+        det, nums, _ = _chain_discrepancies(tuple(chain.marks), contacts)
         out.update((v, Discrepancy(num, det)) for v, num in zip(chain.vertex_ids, nums))
     return out
 
@@ -190,11 +193,15 @@ def solve_discrepancies(graph: "VisibleGraph") -> dict[str, Fraction]:
 
 
 @lru_cache(maxsize=8192)
-def _chain_discrepancies(marks: tuple[int, ...], contacts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Determinant and discrepancy numerators of one chain (see the module docstring).
+def _chain_discrepancies(
+    marks: tuple[int, ...], contacts: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], int]:
+    """Determinant, discrepancy numerators and volume numerator of one
+    chain (see the module docstring).
 
     ``contacts[j]`` is 1 when the j-th vertex meets the boundary, else 0;
-    the j-th discrepancy is ``nums[j] / det``.
+    the j-th discrepancy is ``nums[j] / det`` and the chain's volume term
+    is ``vol / det``.
     """
     k = len(marks)
     left = _continuants(marks)
@@ -222,7 +229,7 @@ def _chain_discrepancies(marks: tuple[int, ...], contacts: tuple[int, ...]) -> t
             res -= nums[j + 1]
         if res:
             raise ArithmeticError(f"discrepancy residual {res}/{det} on chain {tuple(marks)}")
-    return det, tuple(nums)
+    return det, tuple(nums), sum(num * (a - 2) for num, a in zip(nums, marks))
 
 
 def _continuants(marks: Sequence[int]) -> list[int]:

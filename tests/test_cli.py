@@ -286,6 +286,19 @@ def test_search_with_a_pool_exits_cleanly():
     assert pooled.stdout == inline.stdout
 
 
+def test_a_script_that_fans_out_exits_with_an_empty_stderr():
+    """A program holding the search module drops its pool before the
+    interpreter tears the modules down, so nothing is printed at exit."""
+    script = (
+        "import os\n"
+        "from fourlines import search\n"
+        "os.cpu_count = lambda: 2\n"
+        "search.run_search(search.SearchConfig((1, 2, 3, 5), max_blowups=12, jobs=2))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=source_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_a_search_that_does_not_fan_out_loads_no_multiprocessing():
     """The pool module, and the multiprocessing it loads, is imported only
     when a search first fans out."""

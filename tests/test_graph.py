@@ -64,6 +64,19 @@ def test_insert_requires_adjacency():
         g.insert("a", "x", "x")  # duplicate id
 
 
+@pytest.mark.parametrize("left,right", [("x", "y"), ("c", "x")])
+def test_insert_across_edges_is_not_adjacent(left, right):
+    """Only consecutive vertices of one edge path are adjacent, so an
+    insertion between interior vertices of two edges, or between a corner
+    and an interior vertex of an edge it does not bound, fails the
+    adjacency check, through insert and through parse."""
+    g = new_base([1, 1, 1, 1], corners=("a", "b", "c", "d")).insert("a", "b", "x").insert("c", "d", "y")
+    with pytest.raises(GraphError, match="not adjacent"):
+        g.insert(left, right, "z")
+    with pytest.raises(FormatError, match="not adjacent"):
+        parse(serialize(g) + f"insert z {left} {right}\n")
+
+
 def test_random_bookkeeping_invariants():
     rng = random.Random(20240811)
     for _ in range(200):

@@ -328,8 +328,10 @@ def test_integer_discrepancies_equal_fraction_solve_on_random_chains():
         marks = [rng.choice((2, 2, 2, 3, 4, 5, 9)) for _ in range(k)]
         contacts = [int(rng.random() < 0.3) for _ in range(k)]
         interior_contacts += any(contacts[1:-1])
-        det, nums = _chain_discrepancies(tuple(marks), tuple(contacts))
-        assert [Fraction(num, det) for num in nums] == fraction_solve(marks, contacts)
+        det, nums, vol = _chain_discrepancies(tuple(marks), tuple(contacts))
+        b = fraction_solve(marks, contacts)
+        assert [Fraction(num, det) for num in nums] == b
+        assert Fraction(vol, det) == sum(x * (a - 2) for x, a in zip(b, marks))
     assert interior_contacts > 300
 
 

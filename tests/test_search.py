@@ -524,6 +524,19 @@ def test_cy_results_subset_of_generic():
     assert cy_forms <= gen_forms
 
 
+def test_boundary_record_weights_cy_minimum_equals_generic_at_budget_8():
+    """For (1,2,3,5) with boundary the exhaustive walk certifies 21 forms
+    at budget 8 and the CY assembly 2, yet both find the minimum 1/70
+    with the same two minimisers."""
+    kwargs = dict(weights=(1, 2, 3, 5), boundary=True, max_blowups=8)
+    cy = run_search(SearchConfig(**kwargs))
+    generic = run_search(SearchConfig(mode="generic", **kwargs))
+    assert (generic.explored["certified"], cy.explored["certified"]) == (21, 2)
+    assert cy.minimum == generic.minimum == Fraction(1, 70)
+    assert len(cy.best) == 2
+    assert cy.forms() == generic.forms()
+
+
 # -- CY step-up search -------------------------------------------------------
 
 
