@@ -13,10 +13,16 @@ weights, which is what the searches and the ample-weight finder use.
 
 The sums run on integer numerators over the chain determinants
 (``singularities.discrepancy_numerators``); a Fraction is built only for
-a report field or a reason.  ``glue`` reaches certify's verdict on a
-graph given by edge content from cached per-edge summaries, without
-building the graph; it and ``edge_summary`` take each chain's volume
-term from the chain core, the third value of
+a report field or a reason, and ``certify`` reads its loose and strict
+weight failures off one pass over the whites.  ``glue`` reaches certify's
+verdict on a graph given by edge content from cached per-edge summaries,
+without building the graph.  It solves the chain through each path of
+black corners once per tuple of corner stars (``_path_chain``), so a
+search that meets the same few hundred stars on thousands of forms only
+sends each cached tap to its slot.  Its weight tests are homogeneous, so
+its verdict does not change under a positive scale of the weights, and
+the searches hand it integers.  It and ``edge_summary`` take each
+chain's volume term from the chain core, the third value of
 ``singularities._chain_discrepancies``, while ``volume`` sums
 b (mark - 2) vertex by vertex, so the search's cross-check of the glue
 against certify compares two independent volume formulas.
@@ -193,21 +199,30 @@ def check_weights(graph: "VisibleGraph", strict: bool = False) -> list[str]:
     the total corner weight; with a boundary, its weight must be >= 0
     (> 0 when strict).  The test's coefficients w_v/n - 1 need n > 0.
     """
+    return _weight_failures(graph)[strict]
+
+
+def _weight_failures(graph: "VisibleGraph") -> tuple[list[str], list[str]]:
+    """``check_weights`` loose and strict, from one pass over the whites."""
     n = graph.total_weight
     if n <= 0:
-        return [f"total weight {n} must be positive"]
-    violations = []
+        reason = f"total weight {n} must be positive"
+        return [reason], [reason]
+    loose, strict = [], []
     for v in graph.whites():
         w = graph.weight(v)
-        if w < n or (strict and w == n):
-            op = ">" if strict else ">="
-            violations.append(f"white {v} has weight {w}, needs {op} {n}")
+        if w == n:
+            strict.append(f"white {v} has weight {w}, needs > {n}")
+        elif w < n:
+            loose.append(f"white {v} has weight {w}, needs >= {n}")
+            strict.append(f"white {v} has weight {w}, needs > {n}")
     if graph.boundary is not None:
         w0 = graph.weight(graph.boundary)
-        if w0 < 0 or (strict and w0 == 0):
-            op = ">" if strict else ">="
-            violations.append(f"boundary weight {w0} must be {op} 0")
-    return violations
+        if w0 < 0:
+            loose.append(f"boundary weight {w0} must be >= 0")
+        if w0 <= 0:
+            strict.append(f"boundary weight {w0} must be > 0")
+    return loose, strict
 
 
 def classify_near_cy(graph: "VisibleGraph") -> NearCY:
@@ -306,12 +321,13 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
             reasons.append(f"boundary excess {eps} is not positive")
         if vol <= 0:
             reasons.append(f"volume {vol} is not positive")
-        reasons.extend(check_weights(graph, strict=False))
+        loose, strict = _weight_failures(graph)
+        reasons.extend(loose)
 
     status = NOT_CERTIFIED
     if not reasons:
         # certified; the strict failures, if any, are why it is not ample
-        reasons = check_weights(graph, strict=True)
+        reasons = strict
         reasons.extend(f"white {v} has canonical degree 0" for v, kc in kcs.items() if kc == 0)
         if log_canonical_only:
             reasons.append("a discrepancy equals 1 (log canonical only)")
@@ -426,6 +442,9 @@ _ARMS = tuple(
 # then the face of end `end` of edge e (one slot for a one-face edge)
 _EXCESS = 4
 
+# what a bare arm of a black corner reaches, in its star; a faced arm reads its tail
+_LINK, _TO_WHITE, _TO_BOUNDARY = "black", "white", "boundary"
+
 
 def _face(summary: EdgeSummary, e: int, end: int) -> int:
     return 5 + 2 * e + (end and not summary.one_face)
@@ -439,33 +458,56 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
     is -1 plus the touches of its three edges.  A corner meets each of
     its edges through an *arm* of one of two kinds: a faceless arm, a
     bare edge, leads straight to the far corner; a faced arm leads
-    through its tail to the face.  The black components through the
-    corners are joined from the tails and solved through the same cached
-    chain core as certify's, which also gives each chain's volume term.
-    A chain vertex meets the boundary exactly when it taps the boundary
-    excess, so the chain's contacts are read from its taps.
+    through its tail to the face.  A black corner's *star* is its mark
+    and, per arm in ``_ARMS`` order, its tail (empty when the corner
+    meets the face) or what a bare arm reaches: a black corner, a white
+    corner or the boundary.  The black corners joined by bare edges form
+    paths, a lone black corner a path of one, and each path's chain is
+    solved once per tuple of stars (``_path_chain``); the glue only sends
+    each of its taps to a slot.  A tail whose corner is not black is a
+    chain of its own, solved once per tail and boundary flag
+    (``_tail_chain``).  Both solve through certify's cached chain core.
+
+    Every weight test is homogeneous in the weights, so the verdict is
+    the same under any positive scale: a search hands in integers.
     """
     bd = boundary_index
     mark = [-1, -1, -1, -1]
     for (i, j), s in zip(EDGE_PAIRS, summaries):
-        mark[i] += s.touches[0]
-        mark[j] += s.touches[1]
-    if any(mark[c] <= 0 for c in range(4) if c != bd):
-        return Verdict("mark")
-    black = [c != bd and mark[c] >= 2 for c in range(4)]
+        ti, tj = s.touches
+        mark[i] += ti
+        mark[j] += tj
+    black = [False] * 4
+    for c in range(4):
+        if c != bd:
+            if mark[c] <= 0:
+                return Verdict("mark")
+            black[c] = mark[c] >= 2
 
-    # black neighbours of each black corner: the black corners at the end
-    # of its faceless arms, and the tails of its faced arms as (edge, end,
-    # marks read from the corner)
+    # each black corner's star, and its links: the black corners at the
+    # end of its bare arms; a link or a tail is a black neighbour
+    stars: dict[int, tuple] = {}
     links: dict[int, list] = {}
-    runs: dict[int, list] = {}
     for c in range(4):
         if not black[c]:
             continue
-        links[c] = [x for e, _, x in _ARMS[c] if summaries[e].faces is None and black[x]]
-        runs[c] = [(e, end, summaries[e].tails[end]) for e, end, _ in _ARMS[c] if summaries[e].tails[end]]
-        if len(links[c]) + len(runs[c]) > 2:
+        star = [mark[c]]
+        link = []
+        tails = 0
+        for e, end, x in _ARMS[c]:
+            s = summaries[e]
+            if s.faces is not None:
+                star.append(s.tails[end])
+                tails += bool(s.tails[end])
+            elif black[x]:
+                star.append(_LINK)
+                link.append(x)
+            else:
+                star.append(_TO_BOUNDARY if x == bd else _TO_WHITE)
+        if len(link) + tails > 2:
             return Verdict("chain")  # a branch at c
+        stars[c] = tuple(star)
+        links[c] = link
 
     num = [-1 if c != bd and not black[c] else 0 for c in range(4)] + [-2] + [0] * 12
     den = [1] * 17
@@ -483,20 +525,10 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
             elif not s.tails[end]:
                 num[_face(s, e, end)] += den[_face(s, e, end)]
 
-    # a chain is (marks, taps); a tap (position, slot) adds the b there to
-    # the slot.  Next to a corner that is not black the slot is _EXCESS for
-    # the boundary, else the white corner itself, so a chain vertex meets
-    # the boundary exactly when it taps _EXCESS: the taps give the contacts.
-    slot = [_EXCESS if c == bd else c for c in range(4)]
-    chains = []
-
-    def add_tail(e: int, end: int, run: tuple, marks: list, taps: list, head: bool = False) -> None:
-        # run read from its corner outward, which a head run reverses; its
-        # outer vertex meets the face
-        pos = len(marks) if head else len(marks) + len(run) - 1
-        marks.extend(run[::-1] if head else run)
-        taps.append((pos, _face(summaries[e], e, end)))
-
+    # each chain's taps as (slot, numerator, determinant): the b there adds to the slot
+    taps = []
+    bad = False
+    volumes = [s.inner_volume for s in summaries]
     walked = set()
     for c in links:
         if c in walked or len(links[c]) == 2:
@@ -510,51 +542,38 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
             prev = path[-1]
             path.append(step[0])
         walked.update(path)
-        marks: list = []
-        taps: list = []
-        for tail in runs[path[0]][:1]:
-            add_tail(*tail, marks, taps, head=True)
-        for corner in path:
-            pos = len(marks)
-            marks.append(mark[corner])
-            for e, end, x in _ARMS[corner]:
-                s = summaries[e]
-                if s.faces is None:
-                    if not black[x]:
-                        taps.append((pos, slot[x]))
-                elif not s.tails[end]:
-                    taps.append((pos, _face(s, e, end)))
-        for tail in runs[path[-1]][1 if len(path) == 1 else 0:]:
-            add_tail(*tail, marks, taps)
-        chains.append((marks, taps))
+        in_range, vol, det, path_taps = _path_chain(tuple(map(stars.__getitem__, path)))
+        bad = bad or not in_range
+        volumes.append((vol, det))
+        for pos, arm, nb in path_taps:
+            e, end, x = _ARMS[path[pos]][arm]
+            s = summaries[e]
+            taps.append(((_EXCESS if x == bd else x) if s.faces is None else _face(s, e, end), nb, det))
     if len(walked) < len(links):
         return Verdict("chain")  # a cycle through the corners
 
-    # tails that meet no black corner are chains of their own
-    for e, s in enumerate(summaries):
-        for end, c in enumerate(EDGE_PAIRS[e]):
-            run = s.tails[end]
-            if run and not black[c]:
-                chains.append((run, [(len(run) - 1, _face(s, e, end)), (0, slot[c])]))
+    # the tails of the corners that are not black are chains of their own,
+    # which meet the corner (the boundary or a white) and the face
+    for c in range(4):
+        if black[c]:
+            continue
+        for e, end, _ in _ARMS[c]:
+            s = summaries[e]
+            if s.tails[end]:
+                in_range, vol, det, inner, outer = _tail_chain(s.tails[end], c == bd)
+                bad = bad or not in_range
+                volumes.append((vol, det))
+                taps.append((_face(s, e, end), outer, det))
+                taps.append((_EXCESS if c == bd else c, inner, det))
 
-    bad = False
-    volumes = [s.inner_volume for s in summaries]
-    for marks, taps in chains:
-        contacts = [0] * len(marks)
-        for pos, to in taps:
-            if to == _EXCESS:
-                contacts[pos] = 1
-        det, nums, vol = singularities._chain_discrepancies(tuple(marks), tuple(contacts))
-        bad = bad or max(nums) > det or min(nums) < 0
-        volumes.append((vol, det))
-        for pos, to in taps:
-            d = den[to]
-            if d == det:
-                num[to] += nums[pos]
-            else:
-                num[to], den[to] = num[to] * det + nums[pos] * d, d * det
     if bad:
         return Verdict("discrepancy")
+    for to, nb, det in taps:
+        d = den[to]
+        if d == det:
+            num[to] += nb
+        else:
+            num[to], den[to] = num[to] * det + nb * d, d * det
     if any(s.inner_negative for s in summaries) or any(num[k] < 0 for k in range(17) if k != _EXCESS):
         return Verdict("degree")
     blowups = sum(len(s.pattern) for s in summaries)
@@ -575,6 +594,48 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
         return Verdict("weights")
     rho = 1 + blowups - sum(s.blacks for s in summaries) - sum(black)
     return Verdict(None, Fraction(vol_num, vol_den), rho)
+
+
+@lru_cache(maxsize=4096)
+def _tail_chain(run: tuple[int, ...], at_boundary: bool) -> tuple[bool, int, int, int, int]:
+    """The chain of a tail whose corner is not black, read from the corner:
+    whether every discrepancy lies in [0, 1], the volume numerator, the
+    determinant and the discrepancy numerators at the corner and at the face."""
+    det, nums, vol = singularities._chain_discrepancies(run, (int(at_boundary),) + (0,) * (len(run) - 1))
+    return 0 <= min(nums) and max(nums) <= det, vol, det, nums[0], nums[-1]
+
+
+@lru_cache(maxsize=4096)
+def _path_chain(stars: tuple[tuple, ...]) -> tuple[bool, int, int, tuple[tuple[int, int, int], ...]]:
+    """The chain through a path of black corners, from their stars in path order.
+
+    The chain runs from the first corner's first tail, read outward, through
+    the corners, to the last corner's remaining tail; each tail's outer
+    vertex meets its face, and a corner meets the face of each empty tail
+    and what each bare arm reaches that is not black.  Returns whether
+    every discrepancy lies in [0, 1], the volume numerator, the determinant
+    and the taps as (position in the path, arm, discrepancy numerator).
+    """
+    marks: list[int] = []
+    at_boundary = set()  # indices in marks of the corners that meet the boundary
+    sources = []  # (index in marks, position in the path, arm)
+    last = len(stars) - 1
+    for pos, (mark, *arms) in enumerate(stars):
+        tails = [arm for arm, a in enumerate(arms) if isinstance(a, tuple) and a]
+        if pos == 0 and tails:  # the head tail, reversed so that it runs towards the corner
+            arm = tails.pop(0)
+            sources.append((len(marks), pos, arm))
+            marks.extend(arms[arm][::-1])
+        sources.extend((len(marks), pos, arm) for arm, a in enumerate(arms) if a in ((), _TO_WHITE, _TO_BOUNDARY))
+        if _TO_BOUNDARY in arms:
+            at_boundary.add(len(marks))
+        marks.append(mark)
+        if pos == last and tails:
+            marks.extend(arms[tails[0]])
+            sources.append((len(marks) - 1, pos, tails[0]))
+    contacts = tuple(int(k in at_boundary) for k in range(len(marks)))
+    det, nums, vol = singularities._chain_discrepancies(tuple(marks), contacts)
+    return 0 <= min(nums) and max(nums) <= det, vol, det, tuple((pos, arm, nums[k]) for k, pos, arm in sources)
 
 
 @lru_cache(maxsize=4096)

@@ -23,7 +23,12 @@ generation), so the count is the number of distinct forms.  With one
 relabelling, as whenever the four corner keys differ, every combination
 passes untested.  Both modes hand each new form to ``_judge``, which
 runs ``certify.glue`` on the summaries of its six edge patterns, without
-building a graph.  Only the forms the glue certifies (one in ten on the
+building a graph.  The glue and the generic walk's pruning bound
+``_mark_deficit`` get the weights scaled once per search to integers by
+their common denominator (``_integer_weights``): every weight test they
+make is homogeneous, so no verdict changes, and no ``Fraction`` is
+hashed or compared per form.  The keys and relabellings keep the
+configured weights.  Only the forms the glue certifies (one in ten on the
 (1,2,3,5) record ladder, 15 of 4,042 in the generic (0,1,1,1) walk at
 budget 8) are keyed by the CY scan, built from their keys and certified
 in full, and certify must agree with the glue's volume and Picard rank
@@ -56,6 +61,7 @@ import atexit
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .certify import EdgeSummary, SurfaceReport, _light_whites, certify, edge_summary, glue
@@ -359,11 +365,21 @@ def _corner_need(weights, boundary_index: Optional[int]) -> list[int]:
     return [0 if c == boundary_index else 2 if weights[c] >= n else 3 for c in range(4)]
 
 
-def _mark_deficit(weights, need: list[int], summaries) -> int:
+def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The weights times their common denominator.  Every weight test of the
+    glue and of ``_mark_deficit`` is homogeneous, so their verdicts stay,
+    and the light-white counts they share are cached on integers."""
+    scale = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights)
+
+
+def _mark_deficit(weights, need: list[int], summaries, n=None) -> int:
     """Mark increments a form lacks before it could certify (an insertion
     adds two): the touches of ``need`` each corner has not got, and one for
-    each interior white lighter than n, which must turn black."""
-    n = sum(weights)
+    each interior white lighter than n, which must turn black.  ``n``, when
+    given, must be ``sum(weights)``."""
+    if n is None:
+        n = sum(weights)
     counts = [0, 0, 0, 0]
     deficit = 0
     for (i, j), s in zip(EDGE_PAIRS, summaries):
@@ -383,9 +399,10 @@ def generic_search(config: SearchConfig) -> SearchResult:
     """
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
-    weights, b_index = config.weights, config.boundary_index
+    weights, b_index = _integer_weights(config.weights), config.boundary_index
+    n = sum(weights)
     need = _corner_need(weights, b_index)
-    least, relabelings = corner_relabelings(weights, b_index)
+    least, relabelings = corner_relabelings(config.weights, b_index)
     seen: set[Key] = set()
     certified: Certified = {}
     stack: list[tuple[EdgeSummary, ...]] = []
@@ -401,7 +418,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
     while stack:
         summaries = stack.pop()
         remaining = config.max_blowups - sum(len(s.pattern) for s in summaries)
-        if remaining <= 0 or _mark_deficit(weights, need, summaries) > 2 * remaining:
+        if remaining <= 0 or _mark_deficit(weights, need, summaries, n) > 2 * remaining:
             continue
         for e, s in enumerate(summaries):
             path = ((1, 0), *s.pattern, (0, 1))
@@ -446,11 +463,11 @@ def _cy_worker(args) -> tuple[int, Certified]:
     """The number of forms among the tasks' combinations, and those of them
     that certify, by canonical key."""
     (config, cy, step), tasks = args
-    weights = config.weights
+    weights = _integer_weights(config.weights)
     b_index = config.boundary_index
     unit_boundary = _cy_case(config) == 3
     need = _corner_need(weights, b_index)
-    least, relabelings = corner_relabelings(weights, b_index)
+    least, relabelings = corner_relabelings(config.weights, b_index)
     assembled = 0
     certified: Certified = {}
     # the summary of the pattern on each edge, in EDGE_PAIRS order

@@ -8,10 +8,11 @@ history, the closed-form Stern-Brocot parents with a descent of the
 tree, the integer continuant discrepancies with Fraction Gaussian
 elimination, the one-pass edge tables of a CY search with the public
 per-edge enumerators, and the glue's verdict from edge summaries with
-``certify`` on the built graph, and the generic walk's mark deficit from
-edge summaries with the same deficit read vertex by vertex off the built
-graph.  Graph files must round-trip, and damaged ones must fail with
-FormatError alone.
+``certify`` on the built graph and with itself under scaled weights,
+certify's one-pass weight reasons with the loose and strict checks read
+vertex by vertex, and the generic walk's mark deficit from edge summaries
+with the same deficit read vertex by vertex off the built graph.  Graph
+files must round-trip, and damaged ones must fail with FormatError alone.
 """
 
 from __future__ import annotations
@@ -500,9 +501,11 @@ def test_glue_agrees_with_certify():
     certify's on the built graph.  The cases: every combination of the
     budget-22 (1,2,3,5) search and of the 56 boundary searches at budget
     12; every graph of the generic (0,1,1,1) walk at budget 7, the only
-    ones with white corners; all of these again under random weights
-    and boundaries; and random insertion graphs.  A false rejection
-    would lose a form."""
+    ones with white corners; every combination of the (1,1,1,2) search
+    at budget 16, where some paths of black corners repeat a star, and of
+    the (1,1,2,3) boundary search at budget 14; all of these again under
+    random weights and boundaries; and random insertion graphs.  A false
+    rejection would lose a form."""
     cases = glue_calls(SearchConfig((1, 2, 3, 5), max_blowups=22))
     assert len(cases) == 2913
     for a in range(1, 7):
@@ -510,6 +513,9 @@ def test_glue_agrees_with_certify():
             for c in range(b, 7):
                 cases += glue_calls(SearchConfig((1, a, b, c), boundary=True, max_blowups=12))
     cases += glue_calls(SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic"))
+    # repeated weights; at (1,1,1,2) some paths of black corners repeat a star
+    cases += glue_calls(SearchConfig((1, 1, 1, 2), max_blowups=16))
+    cases += glue_calls(SearchConfig((1, 1, 2, 3), boundary=True, max_blowups=14))
     rng = random.Random(4711)
     choices = (0, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
     for _, boundary_index, patterns in cases[:]:
@@ -539,6 +545,78 @@ def test_glue_agrees_with_certify():
             mismatches.append((g.canonical_form(), verdict, report.reasons[:1]))
     assert mismatches == []
     assert all(seen.values()), seen
+
+
+def test_glue_is_scale_invariant():
+    """Every weight test of the glue is homogeneous, so scaling the weights
+    by a positive integer or Fraction changes no verdict: the searches hand
+    the glue their weights scaled to integers."""
+    cases = glue_calls(SearchConfig((1, 2, 3, 5), max_blowups=22))
+    cases += glue_calls(SearchConfig((1, 1, 1, 2), max_blowups=16))
+    cases += glue_calls(SearchConfig((1, 1, 2, 3), boundary=True, max_blowups=14))
+    cases += glue_calls(SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic"))
+    rng = random.Random(2718)
+    choices = (0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+    verdicts = {check: 0 for check in (None,) + CHECKS}
+    for weights, boundary_index, patterns in cases:
+        if rng.random() < 0.5:  # random weights reach the weight check's other branches
+            weights = [rng.choice(choices) for _ in range(4)]
+        summaries = [edge_summary(p) for p in patterns]
+        verdict = glue(weights, boundary_index, summaries)
+        verdicts[verdict.failed] += 1
+        for k in (rng.randint(2, 1000), Fraction(rng.randint(1, 99), rng.randint(2, 99))):
+            assert glue([k * w for w in weights], boundary_index, summaries) == verdict, (weights, k, patterns)
+    assert all(verdicts.values()), verdicts
+
+
+def reference_weight_reasons(g: VisibleGraph, strict: bool) -> list[str]:
+    """The weight-condition reasons, read vertex by vertex: n must be
+    positive, every white must weigh n or more (more when strict), and the
+    boundary 0 or more (more when strict)."""
+    n = g.total_weight
+    if n <= 0:
+        return [f"total weight {n} must be positive"]
+    op = ">" if strict else ">="
+    out = [f"white {v} has weight {g.weight(v)}, needs {op} {n}"
+           for v in g.whites() if g.weight(v) < n or (strict and g.weight(v) == n)]
+    if g.boundary is not None:
+        w0 = g.weight(g.boundary)
+        if w0 < 0 or (strict and w0 == 0):
+            out.append(f"boundary weight {w0} must be {op} 0")
+    return out
+
+
+def test_certify_weight_reasons_equal_the_loose_and_strict_checks(load_graph):
+    """certify's weight reasons, from one pass over the whites, are the
+    loose check's after the degree, excess and volume reasons of a graph
+    that reaches them, and the strict check's first of all on a certified
+    graph.  The random graphs have boundary weights of 0 and below and
+    total weights of 0 and below; the certified record fixtures fail the
+    strict check."""
+    rng = random.Random(1414)
+    choices = (-1, 0, 0, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+    graphs = [load_graph(name) for name in ("kollar60", "p78", "p462a", "p6351", "p48983")]
+    for _ in range(3000):
+        weights = [rng.choice(choices) for _ in range(4)]
+        graphs.append(random_graph(rng, max_insertions=10, weights=weights, boundary=rng.random() < 0.5))
+    reached = {"light white": 0, "boundary 0": 0, "negative boundary": 0, "total": 0, "strict": 0}
+    for g in graphs:
+        report = certify(g)
+        loose, strict = reference_weight_reasons(g, False), reference_weight_reasons(g, True)
+        weights = [r for r in report.reasons
+                   if r.startswith(("total weight", "boundary weight")) or " has weight " in r]
+        if report.certified:  # the strict reasons first, then the degree-0 and log-canonical ones
+            assert not loose and report.reasons[: len(strict)] == strict == weights, report.reasons
+            reached["strict"] += bool(strict)
+        elif any(r.startswith(("non-boundary vertex", "black component", "discrepancy")) for r in report.reasons):
+            assert weights == [], report.reasons  # the weights are never checked
+        else:  # the loose reasons last, after the degree, excess and volume ones
+            assert report.reasons[len(report.reasons) - len(loose) :] == loose == weights, report.reasons
+            reached["light white"] += any(" has weight " in r for r in loose)
+            reached["total"] += any(r.startswith("total weight") for r in loose)
+            reached["boundary 0"] += any(r.startswith("boundary weight 0 ") for r in strict) and g.total_weight > 0
+            reached["negative boundary"] += any(r.startswith("boundary weight -") for r in loose)
+    assert all(reached.values()), reached
 
 
 def reference_deficit(g: VisibleGraph) -> int:
