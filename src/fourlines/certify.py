@@ -13,10 +13,10 @@ weights, which is what the searches and the ample-weight finder use.
 
 The sums run on integer numerators over the chain determinants
 (``singularities.discrepancy_numerators``); a Fraction is built only for
-a report field or a reason, and ``certify`` reads its loose and strict
-weight failures off one pass over the whites.  ``glue`` reaches certify's
-verdict on a graph given by edge content from cached per-edge summaries,
-without building the graph.  It solves the chain through each path of
+a report field or a reason, and ``certify`` reads its near-CY tag and its
+loose and strict weight failures off one integer pass over the whites.
+``glue`` reaches certify's verdict on a graph given by edge content from
+cached per-edge summaries, without building the graph.  It solves the chain through each path of
 black corners once per tuple of corner stars (``_path_chain``), so a
 search that meets the same few hundred stars on thousands of forms only
 sends each cached tap to its slot.  Its weight tests are homogeneous, so
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
@@ -151,9 +152,9 @@ def _ratio_sum(terms: Iterable[tuple[int, int]], num: int = 0, den: int = 1) -> 
 
 
 def _degree_ratio(graph: "VisibleGraph", b: Discrepancies, v: str, base: int) -> tuple[int, int]:
-    """base plus the b of v's black neighbours, as an unreduced pair."""
-    bd = graph.boundary
-    xs = [b[u] for u in graph.neighbors(v) if u != bd and graph.mark(u) >= 2]
+    """base plus the b of v's black neighbours, as an unreduced pair; ``b``
+    holds exactly the black vertices."""
+    xs = [b[u] for u in graph.neighbors(v) if u in b]
     return _ratio_sum(((x.numerator, x.denominator) for x in xs), base)
 
 
@@ -199,30 +200,7 @@ def check_weights(graph: "VisibleGraph", strict: bool = False) -> list[str]:
     the total corner weight; with a boundary, its weight must be >= 0
     (> 0 when strict).  The test's coefficients w_v/n - 1 need n > 0.
     """
-    return _weight_failures(graph)[strict]
-
-
-def _weight_failures(graph: "VisibleGraph") -> tuple[list[str], list[str]]:
-    """``check_weights`` loose and strict, from one pass over the whites."""
-    n = graph.total_weight
-    if n <= 0:
-        reason = f"total weight {n} must be positive"
-        return [reason], [reason]
-    loose, strict = [], []
-    for v in graph.whites():
-        w = graph.weight(v)
-        if w == n:
-            strict.append(f"white {v} has weight {w}, needs > {n}")
-        elif w < n:
-            loose.append(f"white {v} has weight {w}, needs >= {n}")
-            strict.append(f"white {v} has weight {w}, needs > {n}")
-    if graph.boundary is not None:
-        w0 = graph.weight(graph.boundary)
-        if w0 < 0:
-            loose.append(f"boundary weight {w0} must be >= 0")
-        if w0 <= 0:
-            strict.append(f"boundary weight {w0} must be > 0")
-    return loose, strict
+    return _weight_pass(graph)[1 + strict]
 
 
 def classify_near_cy(graph: "VisibleGraph") -> NearCY:
@@ -232,25 +210,57 @@ def classify_near_cy(graph: "VisibleGraph") -> NearCY:
     one_step: as all_cy except a unique white of weight n+1;
     boundary_unit: every white has weight n and the boundary weight is 1.
     """
+    return _weight_pass(graph)[0]
+
+
+def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
+    """``classify_near_cy`` and ``check_weights`` loose and strict, from one
+    pass over the whites.
+
+    The pass weighs each white in integers, the corner weights times their
+    common denominator, and compares it with n so scaled; a Fraction is
+    built only for a white off weight n whose weight a reason prints or
+    whose tag needs n + 1.
+    """
     n = graph.total_weight
-    # the whites off weight n, each weighed once
-    off = [(v, w) for v in graph.whites() if (w := graph.weight(v)) != n]
-    all_cy = not off
-    one_step = len(off) == 1 and off[0][1] == n + 1
-    if graph.boundary is None:
-        if all_cy:
-            return NearCY("all_cy")
-        if one_step:
-            return NearCY("one_step", off[0][0])
-        return NearCY("general")
-    w0 = graph.weight(graph.boundary)
-    if all_cy and w0 == 1:
-        return NearCY("boundary_unit")
-    if all_cy and w0 == 0:
-        return NearCY("all_cy")
-    if one_step and w0 == 0:
-        return NearCY("one_step", off[0][0])
-    return NearCY("general")
+    sn = str(n)
+    ints = _integer_weights(graph.initial_weights)
+    total = sum(ints)
+    corners, bd = graph.corners, graph.boundary
+    off = []  # the whites off weight n
+    loose, strict = [], []
+    for v in graph.whites():
+        edge = graph.edge_of(v)
+        if edge is None:
+            w = ints[corners.index(v)]
+        else:
+            (m1, m2), (i, j) = graph.fraction(v), edge
+            w = m1 * ints[i] + m2 * ints[j]
+        if w == total:
+            strict.append(f"white {v} has weight {sn}, needs > {sn}")
+            continue
+        off.append(v)
+        if w < total:
+            wv = graph.weight(v)
+            loose.append(f"white {v} has weight {wv}, needs >= {sn}")
+            strict.append(f"white {v} has weight {wv}, needs > {sn}")
+    w0 = None if bd is None else ints[corners.index(bd)]
+    if total <= 0:
+        reason = f"total weight {sn} must be positive"
+        loose, strict = [reason], [reason]
+    elif w0 is not None:
+        if w0 < 0:
+            loose.append(f"boundary weight {graph.weight(bd)} must be >= 0")
+        if w0 <= 0:
+            strict.append(f"boundary weight {graph.weight(bd)} must be > 0")
+
+    if off and (len(off) > 1 or graph.weight(off[0]) != n + 1):
+        near = NearCY("general")
+    elif w0 is None or w0 == 0:
+        near = NearCY("one_step", off[0]) if off else NearCY("all_cy")
+    else:
+        near = NearCY("boundary_unit" if not off and graph.weight(bd) == 1 else "general")
+    return near, loose, strict
 
 
 def epsilon1(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
@@ -273,19 +283,28 @@ def delta1(graph: "VisibleGraph", near: Optional[NearCY] = None) -> Optional[Fra
 
 
 def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None) -> SurfaceReport:
-    """Full certification pipeline; failures come back as statuses."""
+    """Full certification pipeline; failures come back as statuses.
+
+    The near-CY tag and both weight checks come from one pass over the
+    whites (``_weight_pass``): the strict failures lead the reasons of a
+    certified graph, the loose ones end those of a graph that reaches the
+    weight check.  Each black chain is walked once (``singularities.chains``).
+    """
     if weights is not None:
         graph = graph.reweighted(weights)
 
-    near = classify_near_cy(graph)
+    near, loose, strict = _weight_pass(graph)
     blowups = graph.blowups
     rho = 1 + blowups - len(graph.blacks())
 
-    reasons = [
-        f"non-boundary vertex {v} has mark {graph.mark(v)} <= 0"
-        for v in graph.vertices
-        if v != graph.boundary and graph.mark(v) <= 0
-    ]
+    reasons = []
+    # a non-boundary vertex that is neither white nor black has mark <= 0
+    if len(graph.whites()) + len(graph.blacks()) + (graph.boundary is not None) < len(graph.vertices):
+        reasons = [
+            f"non-boundary vertex {v} has mark {graph.mark(v)} <= 0"
+            for v in graph.vertices
+            if v != graph.boundary and graph.mark(v) <= 0
+        ]
     if not reasons:
         try:
             chain_list = singularities.chains(graph)
@@ -321,7 +340,6 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
             reasons.append(f"boundary excess {eps} is not positive")
         if vol <= 0:
             reasons.append(f"volume {vol} is not positive")
-        loose, strict = _weight_failures(graph)
         reasons.extend(loose)
 
     status = NOT_CERTIFIED
@@ -389,6 +407,12 @@ class EdgeSummary(NamedTuple):
     whites: tuple[tuple[int, int], ...]
 
 
+def _touches(pattern: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """The insertions next to each corner of an edge: the pairs (m1, 1)
+    touch its first corner, the pairs (1, m2) its second."""
+    return sum(m2 == 1 for _, m2 in pattern), sum(m1 == 1 for m1, _ in pattern)
+
+
 @lru_cache(maxsize=4096)
 def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
     """Summary of one edge pattern, which must hold the creation parents
@@ -397,7 +421,7 @@ def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
     ends = [(1, 0), *path, (0, 1)]
     # the neighbours of q on the path add up to mark(q) * q (Hirzebruch-Jung)
     marks = [(ends[k - 1][0] + ends[k + 1][0]) // ends[k][0] for k in range(1, len(ends) - 1)]
-    touches = (sum(m2 == 1 for _, m2 in pattern), sum(m1 == 1 for m1, _ in pattern))
+    touches = _touches(pattern)
     blacks = sum(a >= 2 for a in marks)
     white_at = [k for k, a in enumerate(marks) if a == 1]
     if not white_at:  # only a bare edge has no white
@@ -636,6 +660,15 @@ def _path_chain(stars: tuple[tuple, ...]) -> tuple[bool, int, int, tuple[tuple[i
     contacts = tuple(int(k in at_boundary) for k in range(len(marks)))
     det, nums, vol = singularities._chain_discrepancies(tuple(marks), contacts)
     return 0 <= min(nums) and max(nums) <= det, vol, det, tuple((pos, arm, nums[k]) for k, pos, arm in sources)
+
+
+def _integer_weights(weights: Sequence[Fraction]) -> tuple[int, ...]:
+    """The weights times their common denominator.  Every weight test of the
+    glue, of certify's weight pass and of the generic walk's
+    ``_mark_deficit`` is homogeneous, so no verdict changes, and the
+    light-white counts the glue and the walk share are cached on integers."""
+    scale = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights)
 
 
 @lru_cache(maxsize=4096)

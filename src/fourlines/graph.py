@@ -148,11 +148,12 @@ class VisibleGraph:
         ``E{i}{j}_{m1}_{m2}``.
 
         The result equals that replay, merged from the cached
-        ``_edge_piece`` of each edge into a base graph: the piece tables
-        are copied in EDGE_PAIRS order and each corner gains its pieces'
-        touch counts, children and edge neighbours.
+        ``_edge_piece`` of each edge into a copy of the cached graph of the
+        four corners alone: the piece tables are copied in EDGE_PAIRS order
+        and each corner gains its pieces' touch counts, children and edge
+        neighbours.
         """
-        g = cls(corners, weights, boundary)
+        g = _corner_graph(cls, tuple(corners), tuple(weights), boundary)._copy()
         tables = (g._mark, g._adj, g._edge, g._frac, g._parents, g._children)
         near = {c: [] for c in g.corners}
         for i, j in EDGE_PAIRS:
@@ -218,12 +219,8 @@ class VisibleGraph:
         self._whites = tuple(v for v in self.vertices if mark[v] == 1 and v != bd)
         self._blacks = tuple(v for v in self.vertices if mark[v] >= 2 and v != bd)
 
-    def insert(self, a: str, b: str, new_id: str) -> "VisibleGraph":
-        """Blow up the intersection of the adjacent curves ``a`` and ``b``.
-
-        The new graph starts from a copy of this graph's state, so one
-        insertion costs time linear in the graph size.
-        """
+    def _copy(self) -> "VisibleGraph":
+        """An unsealed copy of this graph's state, with its own tables."""
         g = object.__new__(type(self))
         g.__dict__.update(self.__dict__)
         # own copies of the per-vertex tables; _apply never changes the
@@ -232,6 +229,15 @@ class VisibleGraph:
             setattr(g, name, dict(getattr(self, name)))
         g._history = list(self._history)
         g._vertices = list(self._vertices)
+        return g
+
+    def insert(self, a: str, b: str, new_id: str) -> "VisibleGraph":
+        """Blow up the intersection of the adjacent curves ``a`` and ``b``.
+
+        The new graph starts from a copy of this graph's state, so one
+        insertion costs time linear in the graph size.
+        """
+        g = self._copy()
         g._apply(Insertion(new_id, a, b))
         g._seal()
         return g
@@ -471,6 +477,12 @@ def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tu
     readings = [tuple(sides[e][side] for e, side in reads) for reads in relabelings]
     least = min(readings)
     return least, readings[0] == least
+
+
+@lru_cache(maxsize=1024)
+def _corner_graph(cls: type, corners: tuple, weights: tuple, boundary: Optional[str]) -> VisibleGraph:
+    """The graph of the four corners alone, which ``from_edge_content`` copies."""
+    return cls(corners, weights, boundary)
 
 
 @lru_cache(maxsize=1024)

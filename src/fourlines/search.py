@@ -46,13 +46,18 @@ reuses it (a search of another size replaces it, and one that fails
 drops it, so the next starts afresh), and an ``atexit`` hook drops it
 when the interpreter exits; a worker ends itself as soon as its owner
 process is gone, under every start method.  The CY tables are built once
-per search and handed to the workers.  A task fixes one edge's pattern
-and is the first level of one scan over the six edges; every level
-applies its pattern's corner touches and insertions alike, and a
-combination is counted only if each corner has the touches
-``_corner_need`` asks; the generic walk prunes by the same rule.  Both
-modes end in ``_result``, which builds the least-volume forms from their
-keys.
+per search and handed to the workers.  A task fixes one edge's pattern,
+and a combination is counted only if each corner has the touches
+``_corner_need`` asks; the generic walk prunes by the same rule.  The
+task's scan takes the five other edges as its levels, the smallest CY
+table first, so the largest comes last.  Each level knows, for its two
+corners, the most touches the later levels could still add, and skips a
+pattern that leaves either corner short of its need even then; a task
+whose fixed pattern leaves some corner short even if every level took
+its most is dropped before its pattern is summarised.  Both rules drop
+only combinations that miss the need, so the count does not change.
+Both modes end in ``_result``, which builds the least-volume forms from
+their keys.
 """
 
 from __future__ import annotations
@@ -61,10 +66,9 @@ import atexit
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Union
 
-from .certify import EdgeSummary, SurfaceReport, _light_whites, certify, edge_summary, glue
+from .certify import EdgeSummary, SurfaceReport, _integer_weights, _light_whites, _touches, certify, edge_summary, glue
 from .graph import EDGE_PAIRS, VisibleGraph, corner_relabelings, least_reading
 
 __all__ = [
@@ -365,14 +369,6 @@ def _corner_need(weights, boundary_index: Optional[int]) -> list[int]:
     return [0 if c == boundary_index else 2 if weights[c] >= n else 3 for c in range(4)]
 
 
-def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The weights times their common denominator.  Every weight test of the
-    glue and of ``_mark_deficit`` is homogeneous, so their verdicts stay,
-    and the light-white counts they share are cached on integers."""
-    scale = lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (scale // w.denominator) for w in weights)
-
-
 def _mark_deficit(weights, need: list[int], summaries, n=None) -> int:
     """Mark increments a form lacks before it could certify (an insertion
     adds two): the touches of ``need`` each corner has not got, and one for
@@ -461,7 +457,18 @@ def _cy_case(config: SearchConfig) -> int:
 
 def _cy_worker(args) -> tuple[int, Certified]:
     """The number of forms among the tasks' combinations, and those of them
-    that certify, by canonical key."""
+    that certify, by canonical key.
+
+    A task fixes one edge's pattern; the five other edges are the levels
+    of one scan, the smallest CY table first and the largest last.  Each
+    level knows the *floor* of its two corners, the touches each must have
+    once its pattern is chosen: its need less the most touches the later
+    levels could still add there.  A pattern that leaves either corner
+    below its floor is skipped, and a task whose fixed pattern leaves some
+    corner short even if every level took its most is skipped before its
+    pattern is summarised.  Only combinations that miss ``need`` are
+    dropped, so the count does not change.
+    """
     (config, cy, step), tasks = args
     weights = _integer_weights(config.weights)
     b_index = config.boundary_index
@@ -470,14 +477,31 @@ def _cy_worker(args) -> tuple[int, Certified]:
     least, relabelings = corner_relabelings(config.weights, b_index)
     assembled = 0
     certified: Certified = {}
-    # the summary of the pattern on each edge, in EDGE_PAIRS order
+    # the summary of the pattern on each edge, in EDGE_PAIRS order, and the corner touches so far
     chosen: list[Optional[EdgeSummary]] = [None] * 6
+    counts = [0, 0, 0, 0]
+
+    def plan(e: int):
+        """The levels of a task that fixes edge e, as (edge, table, floor at its
+        first corner, floor at its second), and the most touches all five
+        levels could add at each corner."""
+        room = [0, 0, 0, 0]
+        levels = []
+        order = sorted((f for f in range(6) if f != e), key=lambda f: len(cy[EDGE_PAIRS[f]]))
+        for f in reversed(order):
+            (i, j), table = EDGE_PAIRS[f], cy[EDGE_PAIRS[f]]
+            levels.append((f, table, need[i] - room[i], need[j] - room[j]))
+            room[i] += max(s.touches[0] for s in table)
+            room[j] += max(s.touches[1] for s in table)
+        return levels[::-1], room
+
+    plans = [plan(e) for e in range(6)]
 
     def read_key() -> Key:
         """The key of the combination in ``chosen`` under one relabelling."""
         return least, least_reading(relabelings, [s.pattern for s in chosen])[0]
 
-    def scan(levels: list[tuple[int, list[EdgeSummary]]], k: int, counts: list[int], left: int) -> None:
+    def scan(levels: list[tuple[int, list[EdgeSummary], int, int]], k: int, left: int) -> None:
         nonlocal assembled
         if k == len(levels):
             if all(map(int.__ge__, counts, need)):
@@ -488,17 +512,20 @@ def _cy_worker(args) -> tuple[int, Certified]:
                 assembled += 1
                 _judge(weights, b_index, chosen, read_key, certified)
             return
-        e, table = levels[k]
+        e, table, floor_i, floor_j = levels[k]
         i, j = EDGE_PAIRS[e]
+        short_i, short_j = floor_i - counts[i], floor_j - counts[j]
         for summary in table:
             size = len(summary.pattern)
             if size > left:
                 break  # patterns are sorted by size
             ti, tj = summary.touches
+            if ti < short_i or tj < short_j:
+                continue  # a corner could no longer reach its need
             counts[i] += ti
             counts[j] += tj
             chosen[e] = summary
-            scan(levels, k + 1, counts, left - size)
+            scan(levels, k + 1, left - size)
             counts[i] -= ti
             counts[j] -= tj
 
@@ -506,9 +533,14 @@ def _cy_worker(args) -> tuple[int, Certified]:
         # a task (e, k) fixes edge e to the k-th pattern of edge 0's CY
         # table under a unit boundary, else of the edge's one-step table
         edge = EDGE_PAIRS[e]
-        fixed = cy[edge][idx] if unit_boundary else edge_summary(step[edge][idx])
-        levels = [(e, [fixed])] + [(f, cy[EDGE_PAIRS[f]]) for f in range(6) if f != e]
-        scan(levels, 0, [0, 0, 0, 0], config.max_blowups)
+        pattern = cy[edge][idx].pattern if unit_boundary else step[edge][idx]
+        levels, room = plans[e]
+        counts[:] = [0, 0, 0, 0]
+        counts[edge[0]], counts[edge[1]] = _touches(pattern)
+        if any(c + r < want for c, r, want in zip(counts, room, need)):
+            continue  # some corner falls short even if every level takes its most
+        chosen[e] = cy[edge][idx] if unit_boundary else edge_summary(pattern)
+        scan(levels, 0, config.max_blowups - len(pattern))
     return assembled, certified
 
 

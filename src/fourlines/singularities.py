@@ -102,49 +102,51 @@ def black_components(graph: "VisibleGraph") -> list[tuple[str, ...]]:
 
 
 def _components(graph: "VisibleGraph") -> list[tuple[tuple[str, ...], Optional[str]]]:
-    """Black components as in ``black_components``, each with its chain verdict."""
+    """Black components as in ``black_components``, each with its chain verdict.
+
+    Each component is met first at its black of least creation rank, and
+    walked once from there along each of its black links, through blacks
+    with two black links, until an end, a branch vertex or the start comes
+    back.  A path is the two walks joined, read from its end of lower rank;
+    a branch or a cycle is listed in creation order with the reason it is
+    no chain.
+    """
     blacks = graph.blacks()
     # creation rank among the blacks, which doubles as the black set
     rank = {v: i for i, v in enumerate(blacks)}
-    links = {v: [w for w in graph.neighbors(v) if w in rank] for v in blacks}
+    links = {v: rank.keys() & graph.neighbors(v) for v in blacks}
     seen: set[str] = set()
     components = []
     for v in blacks:
         if v in seen:
             continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            for w in links[frontier.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        components.append(_order_component(comp, links, rank))
+        arms = [[v, w] for w in links[v]]
+        for arm in arms:
+            while len(links[arm[-1]]) == 2:
+                a, b = links[arm[-1]]
+                step = b if a == arm[-2] else a
+                if step == v:
+                    break  # round a cycle
+                arm.append(step)
+        branch = len(arms) > 2 or any(len(links[arm[-1]]) > 2 for arm in arms)
+        if branch or any(len(links[arm[-1]]) == 2 for arm in arms):
+            comp, frontier = {v}, [v]
+            while frontier:
+                for w in links[frontier.pop()]:
+                    if w not in comp:
+                        comp.add(w)
+                        frontier.append(w)
+            ordered = tuple(sorted(comp, key=rank.__getitem__))
+            reason = "is not a chain (branch vertex present)" if branch else "is not a simple path"
+            components.append((ordered, f"black component {ordered} {reason}"))
+            seen |= comp
+            continue
+        path = arms[1][:0:-1] + arms[0] if len(arms) == 2 else arms[0] if arms else [v]
+        if rank[path[-1]] < rank[path[0]]:
+            path.reverse()
+        seen.update(path)
+        components.append((tuple(path), None))
     return components
-
-
-def _order_component(
-    comp: set[str], links: dict[str, list[str]], rank: dict[str, int]
-) -> tuple[tuple[str, ...], Optional[str]]:
-    """Path order and None for a path; creation order and the reason it
-    is no chain for a branch or a cycle.
-
-    ``links`` holds the black neighbours of every black vertex.
-    """
-    if any(len(links[v]) > 2 for v in comp):
-        ordered = tuple(sorted(comp, key=rank.__getitem__))
-        return ordered, f"black component {ordered} is not a chain (branch vertex present)"
-    ends = sorted((v for v in comp if len(links[v]) <= 1), key=rank.__getitem__)
-    if not ends:
-        # a cycle, e.g. three black corners joined by bare edges
-        ordered = tuple(sorted(comp, key=rank.__getitem__))
-        return ordered, f"black component {ordered} is not a simple path"
-    # a connected component with an end and no branch is a path: walk it
-    path = [ends[0]]
-    while len(path) < len(comp):
-        path.append(next(w for w in links[path[-1]] if w not in path[-2:]))
-    return tuple(path), None
 
 
 def check_log_terminal(graph: "VisibleGraph") -> str | None:
@@ -158,7 +160,7 @@ def chains(graph: "VisibleGraph") -> list[Chain]:
     for _, verdict in components:
         if verdict is not None:
             raise NotChainError(verdict)
-    return [Chain(comp, tuple(graph.mark(v) for v in comp)) for comp, _ in components]
+    return [Chain(comp, tuple(map(graph.mark, comp))) for comp, _ in components]
 
 
 def discrepancy_numerators(
@@ -173,12 +175,10 @@ def discrepancy_numerators(
     """
     if chain_list is None:
         chain_list = chains(graph)
-    boundary = graph.boundary
+    near = () if graph.boundary is None else graph.neighbors(graph.boundary)
     out: dict[str, Discrepancy] = {}
     for chain in chain_list:
-        contacts = tuple(
-            int(boundary is not None and graph.adjacent(v, boundary)) for v in chain.vertex_ids
-        )
+        contacts = tuple(int(v in near) for v in chain.vertex_ids)
         det, nums, _ = _chain_discrepancies(tuple(chain.marks), contacts)
         out.update((v, Discrepancy(num, det)) for v, num in zip(chain.vertex_ids, nums))
     return out

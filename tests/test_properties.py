@@ -9,8 +9,9 @@ tree, the integer continuant discrepancies with Fraction Gaussian
 elimination, the one-pass edge tables of a CY search with the public
 per-edge enumerators, and the glue's verdict from edge summaries with
 ``certify`` on the built graph and with itself under scaled weights,
-certify's one-pass weight reasons with the loose and strict checks read
-vertex by vertex, and the generic walk's mark deficit from edge summaries
+certify's one-pass near-CY tag and weight reasons with a white-by-white
+Fraction reference, the one walk per black chain with a breadth-first
+search, and the generic walk's mark deficit from edge summaries
 with the same deficit read vertex by vertex off the built graph.  Graph
 files must round-trip, and damaged ones must fail with FormatError alone.
 """
@@ -18,6 +19,7 @@ files must round-trip, and damaged ones must fail with FormatError alone.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
@@ -36,9 +38,27 @@ from fourlines.graph import (
     serialize,
 )
 from fourlines import search as searchmod
-from fourlines.certify import CHECKS, certify, edge_summary, glue
+from fourlines.certify import (
+    AMPLE,
+    BIG_NEF,
+    CHECKS,
+    NearCY,
+    certify,
+    check_weights,
+    classify_near_cy,
+    edge_summary,
+    find_ample_weights,
+    glue,
+)
 from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, run_search, step_edge_enumerate
-from fourlines.singularities import _chain_discrepancies, chains, check_log_terminal, solve_discrepancies
+from fourlines.singularities import (
+    NotChainError,
+    _chain_discrepancies,
+    black_components,
+    chains,
+    check_log_terminal,
+    solve_discrepancies,
+)
 
 from conftest import deadline, random_graph
 
@@ -318,6 +338,81 @@ def test_damaged_graph_files_raise_only_format_error():
     assert failed > 1500
 
 
+# -- black components -----------------------------------------------------------
+
+
+def reference_components(g: VisibleGraph) -> list:
+    """(vertices, reason) of each black component, found by breadth-first
+    search and listed by creation rank: a path walked from its end of least
+    rank with no reason, a branch or a cycle in creation order with the
+    reason it is no chain."""
+    blacks = [v for v in g.vertices if g.color(v) == "black"]
+    links = {v: [w for w in g.neighbors(v) if w in blacks] for v in blacks}
+    out, seen = [], set()
+    for v in blacks:
+        if v in seen:
+            continue
+        comp, queue = {v}, deque([v])
+        while queue:
+            for w in links[queue.popleft()]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        ordered = tuple(u for u in blacks if u in comp)
+        if any(len(links[u]) > 2 for u in comp):
+            out.append((ordered, f"black component {ordered} is not a chain (branch vertex present)"))
+        elif all(len(links[u]) == 2 for u in comp):
+            out.append((ordered, f"black component {ordered} is not a simple path"))
+        else:
+            path = [next(u for u in ordered if len(links[u]) < 2)]
+            while len(path) < len(comp):
+                path.append(next(w for w in links[path[-1]] if w not in path))
+            out.append((tuple(path), None))
+    return out
+
+
+def grow_on_edges(rng: random.Random, boundary, max_insertions: int) -> VisibleGraph:
+    """A random insertion history on a random set of edges, or on the three
+    edges at one corner, half of the insertions next to a corner, so that
+    corners turn black and the bare edges between them stay bare."""
+    g = new_base((1, 1, 1, 1), boundary=boundary)
+    hub = rng.randrange(4)
+    edges = [p for p in EDGE_PAIRS if hub in p] if rng.random() < 0.2 else rng.sample(EDGE_PAIRS, rng.randint(1, 6))
+    for k in range(rng.randint(0, max_insertions)):
+        runs = g.edge_chains()
+        i, j = rng.choice(edges)
+        walk = (g.corners[i],) + runs[(i, j)] + (g.corners[j],)
+        at = rng.choice((0, len(walk) - 2)) if rng.random() < 0.5 else rng.randrange(len(walk) - 1)
+        g = g.insert(walk[at], walk[at + 1], f"v{k}")
+    return g
+
+
+def test_chain_walk_equals_a_breadth_first_reference():
+    """``black_components``, ``check_log_terminal`` and ``chains``, which walk
+    each chain once from its black of least rank, equal a breadth-first
+    reference on random insertion histories.  The sample holds branch
+    components, black cycles of corners and chains of three or more."""
+    rng = random.Random(4242)
+    reached = {"branch": 0, "corner cycle": 0, "long chain": 0}
+    for _ in range(1500):
+        g = grow_on_edges(rng, rng.choice((None, 0, 3)), 24)
+        ref = reference_components(g)
+        reasons = [r for _, r in ref if r]
+        assert black_components(g) == [c for c, _ in ref], g.history
+        assert check_log_terminal(g) == (reasons[0] if reasons else None)
+        if reasons:
+            with pytest.raises(NotChainError) as exc:
+                chains(g)
+            assert str(exc.value) == reasons[0]
+        else:
+            assert [(c.vertex_ids, c.marks) for c in chains(g)] == [(c, tuple(map(g.mark, c))) for c, _ in ref]
+        reached["branch"] += any(r and "branch" in r for _, r in ref)
+        reached["corner cycle"] += any(r and "simple path" in r and all(map(g.is_corner, c)) for c, r in ref)
+        reached["long chain"] += any(r is None and len(c) >= 3 for c, r in ref)
+    assert all(reached.values()), reached
+
+
 # -- discrepancies -----------------------------------------------------------
 
 
@@ -586,28 +681,64 @@ def reference_weight_reasons(g: VisibleGraph, strict: bool) -> list[str]:
     return out
 
 
+def reference_near_cy(g: VisibleGraph) -> NearCY:
+    """The near-CY tag, white by white in Fractions: every white at n, or
+    all but one at n and that one at n + 1, with no boundary or one of
+    weight 0; every white at n with a boundary of weight 1; else general."""
+    n = g.total_weight
+    off = [v for v in g.whites() if g.weight(v) != n]
+    w0 = None if g.boundary is None else g.weight(g.boundary)
+    if w0 is None or w0 == 0:
+        if not off:
+            return NearCY("all_cy")
+        if len(off) == 1 and g.weight(off[0]) == n + 1:
+            return NearCY("one_step", off[0])
+    elif w0 == 1 and not off:
+        return NearCY("boundary_unit")
+    return NearCY("general")
+
+
 def test_certify_weight_reasons_equal_the_loose_and_strict_checks(load_graph):
-    """certify's weight reasons, from one pass over the whites, are the
-    loose check's after the degree, excess and volume reasons of a graph
-    that reaches them, and the strict check's first of all on a certified
-    graph.  The random graphs have boundary weights of 0 and below and
-    total weights of 0 and below; the certified record fixtures fail the
-    strict check."""
+    """certify's near-CY tag, status and weight reasons, from one integer
+    pass over the whites, equal a white-by-white Fraction reference: the
+    tag always; the loose reasons after the degree, excess and volume
+    reasons of a graph that reaches them; the strict reasons first of all
+    on a certified graph, which is ample exactly when it has no reason.
+    ``classify_near_cy`` and ``check_weights`` read the same pass.  The
+    random graphs have boundary weights of 0 and below, total weights of
+    0 and below and fractional weights; the certified record fixtures fail
+    the strict check, and the forms of a generic and a unit-boundary search
+    hold every tag, whites at n + 1 among them; three fixtures reweighted
+    by ``find_ample_weights`` are ample."""
     rng = random.Random(1414)
     choices = (-1, 0, 0, 1, 1, 2, 3, Fraction(1, 2), Fraction(3, 2))
     graphs = [load_graph(name) for name in ("kollar60", "p78", "p462a", "p6351", "p48983")]
+    graphs += [g.reweighted(w) for g in graphs[:4] if (w := find_ample_weights(g))]  # ample
+    for config in (SearchConfig((0, 1, 1, 1), True, 6, mode="generic"), SearchConfig((1, 1, 2, 3), True, 10)):
+        for weights, boundary_index, patterns in glue_calls(config):
+            boundary = None if boundary_index is None else f"L{boundary_index}"
+            graphs.append(VisibleGraph.from_edge_content(
+                ("L0", "L1", "L2", "L3"), config.weights, boundary, dict(zip(EDGE_PAIRS, patterns))))
     for _ in range(3000):
         weights = [rng.choice(choices) for _ in range(4)]
         graphs.append(random_graph(rng, max_insertions=10, weights=weights, boundary=rng.random() < 0.5))
-    reached = {"light white": 0, "boundary 0": 0, "negative boundary": 0, "total": 0, "strict": 0}
+    reached = {"light white": 0, "boundary 0": 0, "negative boundary": 0, "total": 0, "strict": 0,
+               "fractional weight": 0, "white at n + 1": 0, "ample": 0}
+    tags = {kind: 0 for kind in ("all_cy", "one_step", "boundary_unit", "general")}
     for g in graphs:
         report = certify(g)
         loose, strict = reference_weight_reasons(g, False), reference_weight_reasons(g, True)
+        near = reference_near_cy(g)
+        assert report.near_cy == classify_near_cy(g) == near, g.canonical_form()
+        assert (check_weights(g), check_weights(g, strict=True)) == (loose, strict)
+        tags[near.kind] += 1
         weights = [r for r in report.reasons
                    if r.startswith(("total weight", "boundary weight")) or " has weight " in r]
         if report.certified:  # the strict reasons first, then the degree-0 and log-canonical ones
             assert not loose and report.reasons[: len(strict)] == strict == weights, report.reasons
+            assert report.status == (BIG_NEF if report.reasons else AMPLE)
             reached["strict"] += bool(strict)
+            reached["ample"] += report.status == AMPLE
         elif any(r.startswith(("non-boundary vertex", "black component", "discrepancy")) for r in report.reasons):
             assert weights == [], report.reasons  # the weights are never checked
         else:  # the loose reasons last, after the degree, excess and volume ones
@@ -616,7 +747,10 @@ def test_certify_weight_reasons_equal_the_loose_and_strict_checks(load_graph):
             reached["total"] += any(r.startswith("total weight") for r in loose)
             reached["boundary 0"] += any(r.startswith("boundary weight 0 ") for r in strict) and g.total_weight > 0
             reached["negative boundary"] += any(r.startswith("boundary weight -") for r in loose)
+            reached["fractional weight"] += any("/" in r.split(",")[0] for r in loose if " has weight " in r)
+        reached["white at n + 1"] += any(g.weight(v) == g.total_weight + 1 for v in g.whites())
     assert all(reached.values()), reached
+    assert all(tags.values()), tags
 
 
 def reference_deficit(g: VisibleGraph) -> int:

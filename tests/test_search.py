@@ -688,13 +688,18 @@ def keyed_forms(config) -> set:
         ((1, 2, 2, 3), True, 14, 2),
         ((1, 1, 1, 1), True, 12, 6),
         ((0, 1, 1, 1), True, 10, 6),
+        ((0, 0, 0, 1), True, 10, 2),  # corner 3 weighs n: it needs two touches, not three
+        ((Fraction(1, 2), 1, Fraction(3, 2), Fraction(5, 2)), False, 14, 1),
     ],
 )
 def test_cy_count_equals_distinct_keys(monkeypatch, fresh_pool, weights, boundary, budget, group):
     """The scan counts one combination per orbit of the relabellings that
     keep the corner keys; that count is the number of distinct canonical
     keys among all its combinations, and the forms it certifies are those
-    of them that ``certify`` passes, at one worker and at two."""
+    of them that ``certify`` passes, at one worker and at two.  The
+    reference takes every combination within the budget and tests the
+    corner need at the end, so a scan that prunes by corner capacity must
+    drop only combinations that miss it."""
     monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
     config = SearchConfig(weights, boundary=boundary, max_blowups=budget)
     assert len(corner_relabelings(config.weights, config.boundary_index)[1]) == group
