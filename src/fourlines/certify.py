@@ -11,8 +11,9 @@ from a positive self-intersection (the volume).  The weight conditions
 give an independent sufficient nef test that is linear in the corner
 weights, which is what the searches and the ample-weight finder use.
 
-The sums run on integer numerators over the chain determinants
-(``singularities.discrepancy_numerators``); a Fraction is built only for
+The sums run on integer numerators over the chain determinants, read
+off one walk of the black subgraph that yields each chain with its cached
+solve (``singularities._chain_components``); a Fraction is built only for
 a report field or a reason, and ``certify`` reads its near-CY tag and its
 loose and strict weight failures off one integer pass over the whites.
 ``glue`` reaches certify's verdict on a graph given by edge content from
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
@@ -154,8 +154,7 @@ def _ratio_sum(terms: Iterable[tuple[int, int]], num: int = 0, den: int = 1) -> 
 def _degree_ratio(graph: "VisibleGraph", b: Discrepancies, v: str, base: int) -> tuple[int, int]:
     """base plus the b of v's black neighbours, as an unreduced pair; ``b``
     holds exactly the black vertices."""
-    xs = [b[u] for u in graph.neighbors(v) if u in b]
-    return _ratio_sum(((x.numerator, x.denominator) for x in xs), base)
+    return _ratio_sum([(x.numerator, x.denominator) for x in map(b.get, graph.neighbors(v)) if x is not None], base)
 
 
 def _kc_ratio(graph: "VisibleGraph", b: Discrepancies, white: str) -> tuple[int, int]:
@@ -178,9 +177,7 @@ def volume(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
     black vertices.
     """
     mark = graph.mark
-    num, den = _ratio_sum(
-        ((x.numerator * (mark(v) - 2), x.denominator) for v, x in b.items()), 9 - graph.blowups
-    )
+    num, den = _ratio_sum([(x.numerator * (mark(v) - 2), x.denominator) for v, x in b.items()], 9 - graph.blowups)
     if graph.boundary is not None:
         eps = _degree_ratio(graph, b, graph.boundary, -2)
         num, den = _ratio_sum([eps], num + (mark(graph.boundary) - 2) * den, den)
@@ -224,10 +221,10 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
     """
     n = graph.total_weight
     sn = str(n)
-    ints = _integer_weights(graph.initial_weights)
+    scale, ints = graph.scaled_weights()
     total = sum(ints)
     corners, bd = graph.corners, graph.boundary
-    off = []  # the whites off weight n
+    off = []  # the whites off weight n, with their scaled weights
     loose, strict = [], []
     for v in graph.whites():
         edge = graph.edge_of(v)
@@ -239,7 +236,7 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
         if w == total:
             strict.append(f"white {v} has weight {sn}, needs > {sn}")
             continue
-        off.append(v)
+        off.append((v, w))
         if w < total:
             wv = graph.weight(v)
             loose.append(f"white {v} has weight {wv}, needs >= {sn}")
@@ -254,12 +251,13 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
         if w0 <= 0:
             strict.append(f"boundary weight {graph.weight(bd)} must be > 0")
 
-    if off and (len(off) > 1 or graph.weight(off[0]) != n + 1):
+    # n + 1 and 1 scale to total + scale and scale
+    if off and (len(off) > 1 or off[0][1] != total + scale):
         near = NearCY("general")
     elif w0 is None or w0 == 0:
-        near = NearCY("one_step", off[0]) if off else NearCY("all_cy")
+        near = NearCY("one_step", off[0][0]) if off else NearCY("all_cy")
     else:
-        near = NearCY("boundary_unit" if not off and graph.weight(bd) == 1 else "general")
+        near = NearCY("boundary_unit" if not off and w0 == scale else "general")
     return near, loose, strict
 
 
@@ -288,7 +286,8 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
     The near-CY tag and both weight checks come from one pass over the
     whites (``_weight_pass``): the strict failures lead the reasons of a
     certified graph, the loose ones end those of a graph that reaches the
-    weight check.  Each black chain is walked once (``singularities.chains``).
+    weight check.  Each black chain is walked once, and solved by the cached
+    chain core (``singularities._chain_components``).
     """
     if weights is not None:
         graph = graph.reweighted(weights)
@@ -307,7 +306,7 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
         ]
     if not reasons:
         try:
-            chain_list = singularities.chains(graph)
+            components = singularities._chain_components(graph)
         except NotChainError as exc:
             reasons = [str(exc)]
     if reasons:
@@ -317,15 +316,21 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
             reasons=reasons,
         )
 
-    b = singularities.discrepancy_numerators(graph, chain_list)
+    b: dict[str, Discrepancy] = {}
+    singular = []
     log_canonical_only = False
-    for v, (num, det) in b.items():
-        if num > det:
-            reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} > 1: not log canonical")
-        elif num == det:
-            log_canonical_only = True
-        if num < 0:
-            reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} < 0")
+    for comp in components:
+        det, nums, discrepancies = comp.solve()
+        singular.append((comp.chain, det))
+        b.update(zip(comp.vertex_ids, discrepancies))
+        if min(nums) < 0 or max(nums) >= det:
+            for v, num in zip(comp.vertex_ids, nums):
+                if num > det:
+                    reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} > 1: not log canonical")
+                elif num == det:
+                    log_canonical_only = True
+                if num < 0:
+                    reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} < 0")
 
     vol = volume(graph, b)
     eps = epsilon1(graph, b) if graph.boundary is not None else None
@@ -352,8 +357,7 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
         status = BIG_NEF if reasons else AMPLE
 
     return SurfaceReport(
-        volume=vol, rho=rho, blowups=blowups,
-        singularities=[(chain, b[chain.vertex_ids[0]].denominator) for chain in chain_list],
+        volume=vol, rho=rho, blowups=blowups, singularities=singular,
         epsilon1=eps, delta1=delta1(graph, near), status=status, near_cy=near,
         reasons=reasons, log_canonical_only=log_canonical_only,
     )
@@ -660,15 +664,6 @@ def _path_chain(stars: tuple[tuple, ...]) -> tuple[bool, int, int, tuple[tuple[i
     contacts = tuple(int(k in at_boundary) for k in range(len(marks)))
     det, nums, vol = singularities._chain_discrepancies(tuple(marks), contacts)
     return 0 <= min(nums) and max(nums) <= det, vol, det, tuple((pos, arm, nums[k]) for k, pos, arm in sources)
-
-
-def _integer_weights(weights: Sequence[Fraction]) -> tuple[int, ...]:
-    """The weights times their common denominator.  Every weight test of the
-    glue, of certify's weight pass and of the generic walk's
-    ``_mark_deficit`` is homogeneous, so no verdict changes, and the
-    light-white counts the glue and the walk share are cached on integers."""
-    scale = lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (scale // w.denominator) for w in weights)
 
 
 @lru_cache(maxsize=4096)

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "GraphError",
@@ -111,8 +112,10 @@ class VisibleGraph:
         self.corners = corners
         self.initial_weights = weights
         self.boundary = boundary
+        self._scaled = _scaled_weights(weights)
 
-        self._cindex = {c: i for i, c in enumerate(corners)}
+        # read-only, so that every copy shares it
+        self._cindex = MappingProxyType({c: i for i, c in enumerate(corners)})
         self._mark = {c: -1 for c in corners}
         self._total_weight = sum(weights, Fraction(0))
         # corner weights; interior weights are filled in when first asked for
@@ -149,29 +152,43 @@ class VisibleGraph:
 
         The result equals that replay, merged from the cached
         ``_edge_piece`` of each edge into a copy of the cached graph of the
-        four corners alone: the piece tables are copied in EDGE_PAIRS order
-        and each corner gains its pieces' touch counts, children and edge
-        neighbours.
+        four corners alone: the piece tables and colour classes are copied
+        in EDGE_PAIRS order and each corner gains its pieces' touch counts,
+        children and edge neighbours.
         """
         g = _corner_graph(cls, tuple(corners), tuple(weights), boundary)._copy()
-        tables = (g._mark, g._adj, g._edge, g._frac, g._parents, g._children)
-        near = {c: [] for c in g.corners}
+        corners, mark, adj, children = g.corners, g._mark, g._adj, g._children
+        near = {c: [] for c in corners}
+        history, vertices, whites, blacks = g._history, g._vertices, [], []
         for i, j in EDGE_PAIRS:
-            ci, cj = g.corners[i], g.corners[j]
-            history, vertices, pieces, ends = _edge_piece(i, j, ci, cj, tuple(content.get((i, j), ())))
-            g._history += history
-            g._vertices += vertices
-            for table, piece in zip(tables, pieces):
-                table.update(piece)
-            for c, (touches, children, end) in zip((ci, cj), ends):
-                g._mark[c] += touches
-                g._children[c] += children
-                near[c].append(end)
-        if len(g._mark) != len(g._vertices):  # an interior id equals a corner id
-            raise GraphError(f"duplicate vertex id among the corners {g.corners}")
+            ci, cj = corners[i], corners[j]
+            piece = _edge_piece(i, j, ci, cj, tuple(content.get((i, j), ())))
+            if piece.history:  # a bare edge adds no vertex
+                history += piece.history
+                vertices += piece.vertices
+                whites += piece.whites
+                blacks += piece.blacks
+                mark.update(piece.marks)
+                adj.update(piece.adj)
+                g._edge.update(piece.edge)
+                g._frac.update(piece.frac)
+                g._parents.update(piece.parents)
+                children.update(piece.children)
+            (ti, ki, ei), (tj, kj, ej) = piece.ends
+            mark[ci] += ti
+            mark[cj] += tj
+            children[ci] += ki
+            children[cj] += kj
+            near[ci].append(ei)
+            near[cj].append(ej)
+        if len(mark) != len(vertices):  # an interior id equals a corner id
+            raise GraphError(f"duplicate vertex id among the corners {corners}")
         for c, neighbours in near.items():
-            g._adj[c] = frozenset(neighbours)
-        g._seal()
+            adj[c] = frozenset(neighbours)
+        # an interior vertex's colour depends on its own edge alone, so the
+        # pieces carry their colour classes and only the corners are sorted here
+        corner_whites, corner_blacks = _colour_classes(corners, mark, g.boundary)
+        g._seal((corner_whites + tuple(whites), corner_blacks + tuple(blacks)))
         return g
 
     # -- construction ----------------------------------------------------
@@ -209,15 +226,13 @@ class VisibleGraph:
         self._history.append(ins)
         self._vertices.append(new)
 
-    def _seal(self) -> None:
+    def _seal(self, classes: Optional[tuple[tuple, tuple]] = None) -> None:
         """Publish the insertion order and the colour classes once the last
-        insertion is applied; whites() and blacks() apply the rule of
-        color() to the final marks."""
+        insertion is applied; ``classes``, when given, must be the whites and
+        the blacks that ``_colour_classes`` would find."""
         self.history: tuple[Insertion, ...] = tuple(self._history)
         self.vertices: tuple[str, ...] = tuple(self._vertices)
-        mark, bd = self._mark, self.boundary
-        self._whites = tuple(v for v in self.vertices if mark[v] == 1 and v != bd)
-        self._blacks = tuple(v for v in self.vertices if mark[v] >= 2 and v != bd)
+        self._whites, self._blacks = classes or _colour_classes(self.vertices, self._mark, self.boundary)
 
     def _copy(self) -> "VisibleGraph":
         """An unsealed copy of this graph's state, with its own tables."""
@@ -311,6 +326,11 @@ class VisibleGraph:
     def total_weight(self) -> Fraction:
         return self._total_weight
 
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """The common denominator of the corner weights, and the corner
+        weights times it (``_scaled_weights``)."""
+        return self._scaled
+
     def edge_chains(self) -> dict[tuple[int, int], tuple[str, ...]]:
         """Interior vertices of each edge, ordered along the path.
 
@@ -381,7 +401,9 @@ class VisibleGraph:
         """
         corner_key, edges_key = key
         corners = ("C0", "C1", "C2", "C3")
-        weights = [Fraction(num, den) for num, den, _ in corner_key]
+        # the key's integers go to the corner-graph cache as they are: a
+        # Fraction only for a weight that is not whole
+        weights = tuple(num if den == 1 else Fraction(num, den) for num, den, _ in corner_key)
         flagged = [c for c, (_, _, flag) in zip(corners, corner_key) if flag]
         return cls.from_edge_content(
             corners, weights, flagged[0] if flagged else None, dict(zip(EDGE_PAIRS, edges_key))
@@ -411,6 +433,16 @@ class VisibleGraph:
             f"VisibleGraph(corners={self.corners}, weights={self.initial_weights}, "
             f"boundary={self.boundary!r}, blowups={self.blowups})"
         )
+
+
+def _scaled_weights(weights: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The common denominator of the weights, and the weights times it.
+    Every weight test of the glue, of certify's weight pass and of the
+    generic walk's ``_mark_deficit`` is homogeneous, so no verdict changes
+    on the scaled weights, and the light-white counts the glue and the walk
+    share are cached on integers."""
+    scale = lcm(*(w.denominator for w in weights))
+    return scale, tuple(w.numerator * (scale // w.denominator) for w in weights)
 
 
 def _creation_order(pair: tuple[int, int]) -> tuple[int, int]:
@@ -481,19 +513,41 @@ def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tu
 
 @lru_cache(maxsize=1024)
 def _corner_graph(cls: type, corners: tuple, weights: tuple, boundary: Optional[str]) -> VisibleGraph:
-    """The graph of the four corners alone, which ``from_edge_content`` copies."""
+    """The graph of the four corners alone, which ``from_edge_content`` copies.
+
+    The key holds the weights as they come: ``from_canonical_key`` passes
+    the whole ones as ints, which hash and compare without a Fraction, and
+    an equal Fraction finds the same entry."""
     return cls(corners, weights, boundary)
 
 
+class _Piece(NamedTuple):
+    """What the pairs of one edge add to a graph built from edge content."""
+
+    history: tuple[Insertion, ...]
+    vertices: tuple[str, ...]
+    #: the interior vertices' tables; no other edge changes them
+    marks: dict
+    adj: dict
+    edge: dict
+    frac: dict
+    parents: dict
+    children: dict
+    #: per corner, first and second: its touch count, children and neighbour on the edge
+    ends: tuple[tuple[int, tuple, str], tuple[int, tuple, str]]
+    #: the interior whites and blacks in creation order
+    whites: tuple[str, ...]
+    blacks: tuple[str, ...]
+
+
 @lru_cache(maxsize=1024)
-def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int], ...]):
-    """Insertions, new ids and interior tables of edge (i, j) from ``ci`` to ``cj``.
+def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int], ...]) -> _Piece:
+    """The piece of edge (i, j) from ``ci`` to ``cj`` that carries ``pattern``.
 
     The pairs go through ``_apply`` on a graph of the two corners alone,
-    whose marks start at 0 and so end as touch counts; ``ends`` holds each
-    corner's touch count, children and neighbour on the edge.  Callers
-    copy the tables; their values are ints, tuples and frozensets, which
-    ``_apply`` replaces and never mutates.
+    whose marks start at 0 and so end as touch counts.  Callers copy the
+    tables; their values are ints, tuples and frozensets, which ``_apply``
+    replaces and never mutates.
     """
     p = object.__new__(VisibleGraph)
     p._cindex, p._mark, p._children = {ci: i, cj: j}, {ci: 0, cj: 0}, {ci: (), cj: ()}
@@ -509,8 +563,18 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
         ids[(m1, m2)] = f"E{i}{j}_{m1}_{m2}"
         p._apply(Insertion(ids[(m1, m2)], ids[p1], ids[p2]))
     ends = tuple((p._mark.pop(c), p._children.pop(c), *p._adj.pop(c)) for c in (ci, cj))
-    tables = (p._mark, p._adj, p._edge, p._frac, p._parents, p._children)
-    return tuple(p._history), tuple(p._vertices), tables, ends
+    return _Piece(
+        tuple(p._history), tuple(p._vertices), p._mark, p._adj, p._edge, p._frac, p._parents, p._children,
+        ends, *_colour_classes(p._vertices, p._mark, None),
+    )
+
+
+def _colour_classes(vertices: Sequence[str], mark: Mapping[str, int], boundary: Optional[str]) -> tuple[tuple, tuple]:
+    """The whites and the blacks among ``vertices``, by the rule of color()."""
+    return (
+        tuple(v for v in vertices if mark[v] == 1 and v != boundary),
+        tuple(v for v in vertices if mark[v] >= 2 and v != boundary),
+    )
 
 
 def _stern_brocot_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:

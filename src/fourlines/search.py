@@ -25,7 +25,7 @@ passes untested.  Both modes hand each new form to ``_judge``, which
 runs ``certify.glue`` on the summaries of its six edge patterns, without
 building a graph.  The glue and the generic walk's pruning bound
 ``_mark_deficit`` get the weights scaled once per search to integers by
-their common denominator (``_integer_weights``): every weight test they
+their common denominator (``graph._scaled_weights``): every weight test they
 make is homogeneous, so no verdict changes, and no ``Fraction`` is
 hashed or compared per form.  The keys and relabellings keep the
 configured weights.  Only the forms the glue certifies (one in ten on the
@@ -68,8 +68,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .certify import EdgeSummary, SurfaceReport, _integer_weights, _light_whites, _touches, certify, edge_summary, glue
-from .graph import EDGE_PAIRS, VisibleGraph, corner_relabelings, least_reading
+from .certify import EdgeSummary, SurfaceReport, _light_whites, _touches, certify, edge_summary, glue
+from .graph import EDGE_PAIRS, VisibleGraph, _scaled_weights, corner_relabelings, least_reading
 
 __all__ = [
     "GENERIC",
@@ -395,7 +395,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
     """
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
-    weights, b_index = _integer_weights(config.weights), config.boundary_index
+    weights, b_index = _scaled_weights(config.weights)[1], config.boundary_index
     n = sum(weights)
     need = _corner_need(weights, b_index)
     least, relabelings = corner_relabelings(config.weights, b_index)
@@ -470,7 +470,7 @@ def _cy_worker(args) -> tuple[int, Certified]:
     dropped, so the count does not change.
     """
     (config, cy, step), tasks = args
-    weights = _integer_weights(config.weights)
+    weights = _scaled_weights(config.weights)[1]
     b_index = config.boundary_index
     unit_boundary = _cy_case(config) == 3
     need = _corner_need(weights, b_index)
@@ -495,7 +495,7 @@ def _cy_worker(args) -> tuple[int, Certified]:
             room[j] += max(s.touches[1] for s in table)
         return levels[::-1], room
 
-    plans = [plan(e) for e in range(6)]
+    plans = {e: plan(e) for e in {e for e, _ in tasks}}
 
     def read_key() -> Key:
         """The key of the combination in ``chosen`` under one relabelling."""
@@ -504,13 +504,15 @@ def _cy_worker(args) -> tuple[int, Certified]:
     def scan(levels: list[tuple[int, list[EdgeSummary], int, int]], k: int, left: int) -> None:
         nonlocal assembled
         if k == len(levels):
-            if all(map(int.__ge__, counts, need)):
-                # count the one member of each orbit that its first relabelling reads least;
-                # with one relabelling each combination is its own orbit
-                if len(relabelings) > 1 and not least_reading(relabelings, [s.pattern for s in chosen])[1]:
-                    return
-                assembled += 1
-                _judge(weights, b_index, chosen, read_key, certified)
+            # every need is met here: each corner lies on two or more levels,
+            # and no level after the last of them touches it, so its floor there
+            # is its whole need.  Count the one member of each orbit that its
+            # first relabelling reads least; with one relabelling each
+            # combination is its own orbit
+            if len(relabelings) > 1 and not least_reading(relabelings, [s.pattern for s in chosen])[1]:
+                return
+            assembled += 1
+            _judge(weights, b_index, chosen, read_key, certified)
             return
         e, table, floor_i, floor_j = levels[k]
         i, j = EDGE_PAIRS[e]

@@ -30,6 +30,11 @@ the chain's term in the adjunction sum K^2 = 9 - blowups + sum of
 b_v (a_v - 2).  The solution depends only on the marks and the contacts,
 so it is cached on them: a search meets the same few hundred chains
 thousands of times.
+
+One walk of the black subgraph (``_components``) finds the components and
+gives each chain its Chain value and boundary contacts, ready for the
+cached solve; ``black_components``, ``check_log_terminal``, ``chains``,
+``discrepancy_numerators`` and ``certify`` all read it.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ class Chain:
     def __post_init__(self):
         if len(self.vertex_ids) != len(self.marks):
             raise ValueError("ids and marks must have equal length")
-        if any(m < 2 for m in self.marks):
+        if min(self.marks, default=2) < 2:
             raise ValueError("chain marks must be at least 2")
 
     def normalized_marks(self) -> tuple[int, ...]:
@@ -98,38 +103,61 @@ def black_components(graph: "VisibleGraph") -> list[tuple[str, ...]]:
     component's vertices come out in traversal order from its lowest
     endpoint, so output is deterministic.
     """
-    return [comp for comp, _ in _components(graph)]
+    return [comp.vertex_ids for comp in _components(graph)]
 
 
-def _components(graph: "VisibleGraph") -> list[tuple[tuple[str, ...], Optional[str]]]:
+class _Component(NamedTuple):
+    """One black component as ``_components`` walks it."""
+
+    vertex_ids: tuple[str, ...]
+    #: why the component is no chain, or None for a chain
+    verdict: Optional[str]
+    #: the component as a Chain, when it is one
+    chain: Optional[Chain] = None
+    #: 1 where a vertex of the chain meets the boundary, else 0, in path order
+    contacts: tuple[int, ...] = ()
+
+    def solve(self) -> tuple[int, tuple[int, ...], tuple[Discrepancy, ...]]:
+        """The chain's determinant, discrepancy numerators and discrepancies."""
+        return _chain_solution(self.chain.marks, self.contacts)
+
+
+def _components(graph: "VisibleGraph") -> list[_Component]:
     """Black components as in ``black_components``, each with its chain verdict.
 
     Each component is met first at its black of least creation rank, and
     walked once from there along each of its black links, through blacks
     with two black links, until an end, a branch vertex or the start comes
-    back.  A path is the two walks joined, read from its end of lower rank;
-    a branch or a cycle is listed in creation order with the reason it is
-    no chain.
+    back.  A path is the two walks joined, read from its end of lower rank,
+    and comes with its Chain and boundary contacts; a branch or a cycle is
+    listed in creation order with the reason it is no chain.
     """
     blacks = graph.blacks()
+    neighbors = graph.neighbors
     # creation rank among the blacks, which doubles as the black set
     rank = {v: i for i, v in enumerate(blacks)}
-    links = {v: rank.keys() & graph.neighbors(v) for v in blacks}
+    links = {v: rank.keys() & neighbors(v) for v in blacks}
+    near = () if graph.boundary is None else neighbors(graph.boundary)
     seen: set[str] = set()
     components = []
     for v in blacks:
         if v in seen:
             continue
-        arms = [[v, w] for w in links[v]]
-        for arm in arms:
-            while len(links[arm[-1]]) == 2:
-                a, b = links[arm[-1]]
+        arms = []
+        branch, closed = len(links[v]) > 2, False
+        for w in links[v]:
+            arm, ahead = [v, w], links[w]
+            while len(ahead) == 2:
+                a, b = ahead
                 step = b if a == arm[-2] else a
                 if step == v:
-                    break  # round a cycle
+                    closed = True  # round a cycle
+                    break
                 arm.append(step)
-        branch = len(arms) > 2 or any(len(links[arm[-1]]) > 2 for arm in arms)
-        if branch or any(len(links[arm[-1]]) == 2 for arm in arms):
+                ahead = links[step]
+            branch = branch or len(ahead) > 2
+            arms.append(arm)
+        if branch or closed:
             comp, frontier = {v}, [v]
             while frontier:
                 for w in links[frontier.pop()]:
@@ -138,49 +166,49 @@ def _components(graph: "VisibleGraph") -> list[tuple[tuple[str, ...], Optional[s
                         frontier.append(w)
             ordered = tuple(sorted(comp, key=rank.__getitem__))
             reason = "is not a chain (branch vertex present)" if branch else "is not a simple path"
-            components.append((ordered, f"black component {ordered} {reason}"))
+            components.append(_Component(ordered, f"black component {ordered} {reason}"))
             seen |= comp
             continue
         path = arms[1][:0:-1] + arms[0] if len(arms) == 2 else arms[0] if arms else [v]
         if rank[path[-1]] < rank[path[0]]:
             path.reverse()
         seen.update(path)
-        components.append((tuple(path), None))
+        path = tuple(path)
+        contacts = tuple([int(u in near) for u in path]) if near else (0,) * len(path)
+        components.append(_Component(path, None, Chain(path, tuple(map(graph.mark, path))), contacts))
     return components
 
 
 def check_log_terminal(graph: "VisibleGraph") -> str | None:
     """None when every black component is a chain, else a description."""
-    return next((verdict for _, verdict in _components(graph) if verdict), None)
+    return next((comp.verdict for comp in _components(graph) if comp.verdict), None)
+
+
+def _chain_components(graph: "VisibleGraph") -> list[_Component]:
+    """The walk's components, every one a chain; raises NotChainError when one
+    is not a path."""
+    components = _components(graph)
+    for comp in components:
+        if comp.verdict is not None:
+            raise NotChainError(comp.verdict)
+    return components
 
 
 def chains(graph: "VisibleGraph") -> list[Chain]:
     """Black components as Chain values; raises when one is not a path."""
-    components = _components(graph)
-    for _, verdict in components:
-        if verdict is not None:
-            raise NotChainError(verdict)
-    return [Chain(comp, tuple(map(graph.mark, comp))) for comp, _ in components]
+    return [comp.chain for comp in _chain_components(graph)]
 
 
-def discrepancy_numerators(
-    graph: "VisibleGraph", chain_list: Optional[Sequence[Chain]] = None
-) -> dict[str, Discrepancy]:
+def discrepancy_numerators(graph: "VisibleGraph") -> dict[str, Discrepancy]:
     """The discrepancy of every black vertex over its chain's determinant.
 
-    ``chain_list``, when given, must be ``chains(graph)``; passing it
-    saves finding the black components again.  Raises NotChainError
-    when a black component is not a path, and ArithmeticError when the
-    integer residual check fails.  Entries run chain by chain.
+    Raises NotChainError when a black component is not a path, and
+    ArithmeticError when the integer residual check fails.  Entries run
+    chain by chain.
     """
-    if chain_list is None:
-        chain_list = chains(graph)
-    near = () if graph.boundary is None else graph.neighbors(graph.boundary)
     out: dict[str, Discrepancy] = {}
-    for chain in chain_list:
-        contacts = tuple(int(v in near) for v in chain.vertex_ids)
-        det, nums, _ = _chain_discrepancies(tuple(chain.marks), contacts)
-        out.update((v, Discrepancy(num, det)) for v, num in zip(chain.vertex_ids, nums))
+    for comp in _chain_components(graph):
+        out.update(zip(comp.vertex_ids, comp.solve()[2]))
     return out
 
 
@@ -230,6 +258,16 @@ def _chain_discrepancies(
         if res:
             raise ArithmeticError(f"discrepancy residual {res}/{det} on chain {tuple(marks)}")
     return det, tuple(nums), sum(num * (a - 2) for num, a in zip(nums, marks))
+
+
+@lru_cache(maxsize=8192)
+def _chain_solution(
+    marks: tuple[int, ...], contacts: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[Discrepancy, ...]]:
+    """The chain core's determinant and numerators, with each numerator as a
+    Discrepancy; chains of one shape share the values."""
+    det, nums, _ = _chain_discrepancies(marks, contacts)
+    return det, nums, tuple(Discrepancy(num, det) for num in nums)
 
 
 def _continuants(marks: Sequence[int]) -> list[int]:

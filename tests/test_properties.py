@@ -110,6 +110,8 @@ def state(g: VisibleGraph) -> dict:
     return {
         "history": g.history,
         "vertices": g.vertices,
+        "whites": g.whites(),
+        "blacks": g.blacks(),
         "per_vertex": {
             v: (g.mark(v), g.weight(v), g.neighbors(v), g.edge_of(v), g.fraction(v),
                 g.parents(v), g.children(v), g.color(v))
@@ -216,13 +218,40 @@ def replayed(g: VisibleGraph) -> VisibleGraph:
     return replay
 
 
+def mutable_tables(g: VisibleGraph) -> set[int]:
+    """The ids of the dicts, lists and sets a graph holds."""
+    return {id(value) for value in vars(g).values() if isinstance(value, (dict, list, set))}
+
+
 def test_from_edge_content_matches_insertion_replay():
-    """The one-shot builder equals inserting the same pairs one at a time."""
+    """The one-shot builder equals inserting the same pairs one at a time.
+
+    The same holds for a build from a canonical key, which hands whole
+    weights to the corner-graph cache as ints: under fractional weights and
+    a boundary flag it equals the build with Fraction weights, and two
+    builds from one key share no mutable table."""
+    rng = random.Random(5149)
+    fractional = 0
     for g in random_graphs(seed=5150, count=200):
         built = VisibleGraph.from_edge_content(g.corners, g.initial_weights, g.boundary, edge_content(g))
         built.check_bookkeeping()
         assert built.canonical_form() == g.canonical_form()
         assert state(replayed(built)) == state(built)
+
+        h = g.reweighted([Fraction(rng.randint(0, 7), rng.choice((1, 1, 2, 3))) for _ in range(4)])
+        corner_key, edges_key = key = h.canonical_key()
+        flagged = [f"C{c}" for c, (_, _, flag) in enumerate(corner_key) if flag]
+        reference = VisibleGraph.from_edge_content(
+            ("C0", "C1", "C2", "C3"), [Fraction(num, den) for num, den, _ in corner_key],
+            flagged[0] if flagged else None, dict(zip(EDGE_PAIRS, edges_key)),
+        )
+        first, second = VisibleGraph.from_canonical_key(key), VisibleGraph.from_canonical_key(key)
+        assert first == reference == h.normalized()
+        assert state(first) == state(reference) == state(replayed(first))
+        assert all(type(w) is Fraction for w in first.initial_weights)
+        assert not mutable_tables(first) & mutable_tables(second)
+        fractional += bool(flagged) and any(den > 1 for _, den, _ in corner_key)
+    assert fractional > 50
 
 
 def test_inserting_on_a_built_graph_leaves_the_cached_pieces_alone():
