@@ -11,11 +11,12 @@ from a positive self-intersection (the volume).  The weight conditions
 give an independent sufficient nef test that is linear in the corner
 weights, which is what the searches and the ample-weight finder use.
 
-The sums run on integer numerators over the chain determinants, read
-off one walk of the black subgraph that yields each chain with its cached
-solve (``singularities._chain_components``); a Fraction is built only for
-a report field or a reason, and ``certify`` reads its near-CY tag and its
-loose and strict weight failures off one integer pass over the whites.
+The sums run on integer numerators over the chain determinants: one
+walk of the black subgraph (``singularities._chain_components``) yields
+each chain, and the cached chain core (``_chain_discrepancies``) solves
+it; a Fraction is built only for a report field or a reason, and
+``certify`` reads its near-CY tag and its loose and strict weight
+failures off one integer pass over the whites.
 ``glue`` reaches certify's verdict on a graph given by edge content from
 cached per-edge summaries, without building the graph.  It solves the chain through each path of
 black corners once per tuple of corner stars (``_path_chain``), so a
@@ -35,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
@@ -286,8 +287,9 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
     The near-CY tag and both weight checks come from one pass over the
     whites (``_weight_pass``): the strict failures lead the reasons of a
     certified graph, the loose ones end those of a graph that reaches the
-    weight check.  Each black chain is walked once, and solved by the cached
-    chain core (``singularities._chain_components``).
+    weight check.  Each black chain is walked once
+    (``singularities._chain_components``) and solved by the cached chain
+    core (``singularities._chain_discrepancies``).
     """
     if weights is not None:
         graph = graph.reweighted(weights)
@@ -320,9 +322,9 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
     singular = []
     log_canonical_only = False
     for comp in components:
-        det, nums, discrepancies = comp.solve()
+        det, nums, _ = singularities._chain_discrepancies(comp.chain.marks, comp.contacts)
         singular.append((comp.chain, det))
-        b.update(zip(comp.vertex_ids, discrepancies))
+        b.update(zip(comp.vertex_ids, map(Discrepancy, nums, repeat(det))))
         if min(nums) < 0 or max(nums) >= det:
             for v, num in zip(comp.vertex_ids, nums):
                 if num > det:

@@ -25,6 +25,11 @@ one edge content of each form, so a search can count forms without keys.
 A search deduplicates before it builds, and
 ``VisibleGraph.from_canonical_key`` builds a key.
 
+A graph's one record is its insertion history, with the marks, the
+adjacency and each interior vertex's edge and pair kept in step to check
+and place the next insertion; the vertex order, parents, children and
+weights are read from those.
+
 An insertion changes only its own edge and that edge's two corners, so
 a graph built from edge content is merged from six per-edge pieces cached
 on the edge's corner ids and pairs: a search that assembles thousands of
@@ -36,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import gcd, lcm
 from types import MappingProxyType
@@ -118,16 +123,12 @@ class VisibleGraph:
         self._cindex = MappingProxyType({c: i for i, c in enumerate(corners)})
         self._mark = {c: -1 for c in corners}
         self._total_weight = sum(weights, Fraction(0))
-        # corner weights; interior weights are filled in when first asked for
-        self._weight = dict(zip(corners, weights))
         self._adj = {c: frozenset(corners) - {c} for c in corners}
         # interior bookkeeping: edge (pair of corner indexes) and (m1, m2)
         self._edge = {}
         self._frac = {}
-        self._parents = {}
-        self._children = {c: () for c in corners}
+        # the insertions applied so far; _seal publishes them as ``history``
         self._history: list[Insertion] = []
-        self._vertices: list[str] = list(corners)
 
         for ins in history:
             self._apply(ins)
@@ -152,39 +153,35 @@ class VisibleGraph:
 
         The result equals that replay, merged from the cached
         ``_edge_piece`` of each edge into a copy of the cached graph of the
-        four corners alone: the piece tables and colour classes are copied
-        in EDGE_PAIRS order and each corner gains its pieces' touch counts,
-        children and edge neighbours.
+        four corners alone: the piece's insertions and tables are copied in
+        EDGE_PAIRS order and each corner gains its pieces' touch counts and
+        edge neighbours.  A key of ``content`` outside EDGE_PAIRS raises
+        GraphError.
         """
         g = _corner_graph(cls, tuple(corners), tuple(weights), boundary)._copy()
-        corners, mark, adj, children = g.corners, g._mark, g._adj, g._children
+        corners, mark, history = g.corners, g._mark, g._history
         near = {c: [] for c in corners}
-        history, vertices, whites, blacks = g._history, g._vertices, [], []
-        for i, j in EDGE_PAIRS:
+        whites, blacks = [], []
+        for (i, j), pattern in zip(EDGE_PAIRS, _edge_patterns(content)):
             ci, cj = corners[i], corners[j]
-            piece = _edge_piece(i, j, ci, cj, tuple(content.get((i, j), ())))
+            piece = _edge_piece(i, j, ci, cj, tuple(pattern))
             if piece.history:  # a bare edge adds no vertex
                 history += piece.history
-                vertices += piece.vertices
                 whites += piece.whites
                 blacks += piece.blacks
                 mark.update(piece.marks)
-                adj.update(piece.adj)
+                g._adj.update(piece.adj)
                 g._edge.update(piece.edge)
                 g._frac.update(piece.frac)
-                g._parents.update(piece.parents)
-                children.update(piece.children)
-            (ti, ki, ei), (tj, kj, ej) = piece.ends
+            (ti, ei), (tj, ej) = piece.ends
             mark[ci] += ti
             mark[cj] += tj
-            children[ci] += ki
-            children[cj] += kj
             near[ci].append(ei)
             near[cj].append(ej)
-        if len(mark) != len(vertices):  # an interior id equals a corner id
+        if len(mark) != 4 + len(history):  # an interior id equals a corner id
             raise GraphError(f"duplicate vertex id among the corners {corners}")
         for c, neighbours in near.items():
-            adj[c] = frozenset(neighbours)
+            g._adj[c] = frozenset(neighbours)
         # an interior vertex's colour depends on its own edge alone, so the
         # pieces carry their colour classes and only the corners are sorted here
         corner_whites, corner_blacks = _colour_classes(corners, mark, g.boundary)
@@ -213,37 +210,33 @@ class VisibleGraph:
         self._mark[a] += 1
         self._mark[b] += 1
         self._mark[new] = 1
-        # replace the neighbour sets and child tuples of a and b rather
-        # than change them: insert() shares them with the parent graph,
-        # from_edge_content with the cached edge pieces
+        # replace the neighbour sets of a and b rather than change them:
+        # insert() shares them with the parent graph, from_edge_content
+        # with the cached edge pieces
         adj[a] = adj[a].difference((b,)).union((new,))
         adj[b] = adj[b].difference((a,)).union((new,))
         adj[new] = frozenset((a, b))
-        self._parents[new] = (a, b)
-        self._children[a] += (new,)
-        self._children[b] += (new,)
-        self._children[new] = ()
         self._history.append(ins)
-        self._vertices.append(new)
 
     def _seal(self, classes: Optional[tuple[tuple, tuple]] = None) -> None:
-        """Publish the insertion order and the colour classes once the last
-        insertion is applied; ``classes``, when given, must be the whites and
-        the blacks that ``_colour_classes`` would find."""
-        self.history: tuple[Insertion, ...] = tuple(self._history)
-        self.vertices: tuple[str, ...] = tuple(self._vertices)
+        """Publish the history, the vertex order and the colour classes once
+        the last insertion is applied; ``classes``, when given, must be the
+        whites and the blacks that ``_colour_classes`` would find.  The
+        working list goes, and so does a family map copied from a parent."""
+        self.history: tuple[Insertion, ...] = tuple(self.__dict__.pop("_history"))
+        self.vertices: tuple[str, ...] = self.corners + tuple(ins.new_id for ins in self.history)
         self._whites, self._blacks = classes or _colour_classes(self.vertices, self._mark, self.boundary)
+        self.__dict__.pop("_family", None)
 
     def _copy(self) -> "VisibleGraph":
         """An unsealed copy of this graph's state, with its own tables."""
         g = object.__new__(type(self))
         g.__dict__.update(self.__dict__)
-        # own copies of the per-vertex tables; _apply never changes the
+        # own copies of the tables _apply changes; it never changes the
         # values they hold in place, so those stay shared
-        for name in ("_mark", "_weight", "_adj", "_edge", "_frac", "_parents", "_children"):
+        for name in ("_mark", "_adj", "_edge", "_frac"):
             setattr(g, name, dict(getattr(self, name)))
-        g._history = list(self._history)
-        g._vertices = list(self._vertices)
+        g._history = list(self.history)
         return g
 
     def insert(self, a: str, b: str, new_id: str) -> "VisibleGraph":
@@ -274,17 +267,17 @@ class VisibleGraph:
         return self._mark[v]
 
     def weight(self, v: str) -> Fraction:
-        w = self._weight.get(v)
-        if w is None:
-            # m1 w(a) + m2 w(b) over the edge a-b, which is the sum of the
-            # weights of the two curves whose intersection made v
-            (i, j), (m1, m2) = self._edge[v], self._frac[v]
-            a, b = self.initial_weights[i], self.initial_weights[j]
-            w = self._weight[v] = Fraction(
-                m1 * a.numerator * b.denominator + m2 * b.numerator * a.denominator,
-                a.denominator * b.denominator,
-            )
-        return w
+        i = self._cindex.get(v)
+        if i is not None:
+            return self.initial_weights[i]
+        # m1 w(a) + m2 w(b) over the edge a-b, which is the sum of the
+        # weights of the two curves whose intersection made v
+        (i, j), (m1, m2) = self._edge[v], self._frac[v]
+        a, b = self.initial_weights[i], self.initial_weights[j]
+        return Fraction(
+            m1 * a.numerator * b.denominator + m2 * b.numerator * a.denominator,
+            a.denominator * b.denominator,
+        )
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]
@@ -300,11 +293,23 @@ class VisibleGraph:
         """Stern-Brocot multiplicity pair of an interior vertex."""
         return self._frac.get(v)
 
+    @cached_property
+    def _family(self) -> dict[str, tuple]:
+        """Each vertex's parents (None for a corner) and its children in
+        creation order, read from the history on first use."""
+        parents, kids = dict.fromkeys(self.corners), {v: [] for v in self.vertices}
+        for ins in self.history:
+            parents[ins.new_id] = (ins.left_id, ins.right_id)
+            kids[ins.left_id].append(ins.new_id)
+            kids[ins.right_id].append(ins.new_id)
+        return {v: (parents[v], tuple(kids[v])) for v in self.vertices}
+
     def parents(self, v: str) -> Optional[tuple[str, str]]:
-        return self._parents.get(v)
+        family = self._family.get(v)
+        return family and family[0]
 
     def children(self, v: str) -> tuple[str, ...]:
-        return self._children[v]
+        return self._family[v][1]
 
     def color(self, v: str) -> str:
         if v == self.boundary:
@@ -361,8 +366,9 @@ class VisibleGraph:
     def check_bookkeeping(self) -> None:
         """Raise if the insertion bookkeeping identities fail."""
         n = self.blowups
-        if len(self.vertices) != 4 + n:
-            raise GraphError("vertex count mismatch")
+        # the tables must hold exactly the vertices the history names
+        if not self._mark.keys() == self._adj.keys() == set(self.vertices):
+            raise GraphError("vertex set mismatch")
         edges = sum(len(self._adj[v]) for v in self.vertices)
         if edges != 2 * (6 + n):
             raise GraphError("edge count mismatch")
@@ -464,7 +470,8 @@ def canonical_key(
     """Least (corner key, edge key) over the corner relabelings.
 
     ``content`` maps pairs from EDGE_PAIRS to the multiplicity pairs on
-    that edge, in any order; a missing pair means a bare edge.  A
+    that edge, in any order; a missing pair means a bare edge, and any
+    other key raises GraphError.  A
     relabeling lists the four (weight, boundary flag) corner keys and,
     edge by edge, the multiplicity pairs seen from its first corner in
     creation order.  The corner key is compared first, so only the
@@ -473,7 +480,7 @@ def canonical_key(
     a fixed list of reads into the cached ``_orientations`` of the patterns.
     """
     least, relabelings = corner_relabelings(tuple(weights), boundary_index)
-    return least, least_reading(relabelings, [content.get(pair, ()) for pair in EDGE_PAIRS])[0]
+    return least, least_reading(relabelings, _edge_patterns(content))[0]
 
 
 @lru_cache(maxsize=1024)
@@ -525,16 +532,13 @@ class _Piece(NamedTuple):
     """What the pairs of one edge add to a graph built from edge content."""
 
     history: tuple[Insertion, ...]
-    vertices: tuple[str, ...]
     #: the interior vertices' tables; no other edge changes them
     marks: dict
     adj: dict
     edge: dict
     frac: dict
-    parents: dict
-    children: dict
-    #: per corner, first and second: its touch count, children and neighbour on the edge
-    ends: tuple[tuple[int, tuple, str], tuple[int, tuple, str]]
+    #: per corner, first and second: its touch count and its neighbour on the edge
+    ends: tuple[tuple[int, str], tuple[int, str]]
     #: the interior whites and blacks in creation order
     whites: tuple[str, ...]
     blacks: tuple[str, ...]
@@ -545,14 +549,13 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
     """The piece of edge (i, j) from ``ci`` to ``cj`` that carries ``pattern``.
 
     The pairs go through ``_apply`` on a graph of the two corners alone,
-    whose marks start at 0 and so end as touch counts.  Callers copy the
-    tables; their values are ints, tuples and frozensets, which ``_apply``
-    replaces and never mutates.
+    which holds only the tables ``_apply`` reads and whose marks start at 0
+    and so end as touch counts.  Callers copy the tables; their values are
+    ints, tuples and frozensets, which ``_apply`` replaces and never mutates.
     """
     p = object.__new__(VisibleGraph)
-    p._cindex, p._mark, p._children = {ci: i, cj: j}, {ci: 0, cj: 0}, {ci: (), cj: ()}
+    p._cindex, p._mark, p._edge, p._frac, p._history = {ci: i, cj: j}, {ci: 0, cj: 0}, {}, {}, []
     p._adj = {ci: frozenset((cj,)), cj: frozenset((ci,))}
-    p._edge, p._frac, p._parents, p._history, p._vertices = {}, {}, {}, [], []
     ids = {(1, 0): ci, (0, 1): cj}
     for m1, m2 in sorted(pattern, key=_creation_order):
         if min(m1, m2) < 1 or gcd(m1, m2) != 1:  # no Stern-Brocot pair, so no parents
@@ -562,11 +565,18 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
             raise GraphError(f"pair {(m1, m2)} on edge {(i, j)} lacks a creation parent")
         ids[(m1, m2)] = f"E{i}{j}_{m1}_{m2}"
         p._apply(Insertion(ids[(m1, m2)], ids[p1], ids[p2]))
-    ends = tuple((p._mark.pop(c), p._children.pop(c), *p._adj.pop(c)) for c in (ci, cj))
-    return _Piece(
-        tuple(p._history), tuple(p._vertices), p._mark, p._adj, p._edge, p._frac, p._parents, p._children,
-        ends, *_colour_classes(p._vertices, p._mark, None),
-    )
+    ends = tuple((p._mark.pop(c), *p._adj.pop(c)) for c in (ci, cj))
+    new = [ins.new_id for ins in p._history]
+    return _Piece(tuple(p._history), p._mark, p._adj, p._edge, p._frac, ends, *_colour_classes(new, p._mark, None))
+
+
+def _edge_patterns(content: Mapping[tuple[int, int], Sequence[tuple[int, int]]]) -> list[Sequence[tuple[int, int]]]:
+    """The pattern of each edge of ``content`` in EDGE_PAIRS order, () for a
+    missing one; raises GraphError on a key that is not in EDGE_PAIRS."""
+    unknown = content.keys() - EDGE_PAIRS
+    if unknown:
+        raise GraphError(f"edge content key {min(unknown, key=repr)!r} is not one of {EDGE_PAIRS}")
+    return [content.get(pair, ()) for pair in EDGE_PAIRS]
 
 
 def _colour_classes(vertices: Sequence[str], mark: Mapping[str, int], boundary: Optional[str]) -> tuple[tuple, tuple]:

@@ -101,8 +101,7 @@ def support(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> tuple[str, ...]
     Order: corners first, then inserted vertices in insertion order.
     """
     coeffs = pullback_coefficients(graph, b)
-    ordered = list(graph.corners) + [ins.new_id for ins in graph.history]
-    return tuple(v for v in ordered if coeffs[v] > 0)
+    return tuple(v for v in graph.vertices if coeffs[v] > 0)
 
 
 def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: int) -> list[CandidateClass]:
@@ -138,9 +137,9 @@ def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: i
     if spanned != lattice.log_pullback(graph, b):
         raise ArithmeticError("pullback coefficients do not span the log pullback")
 
-    order = [ins.new_id for ins in graph.history]
+    order = graph.vertices[4:]  # the inserted curves, in insertion order
     position = {v: i for i, v in enumerate(order)}
-    parents = {ins.new_id: (ins.left_id, ins.right_id) for ins in graph.history}
+    parents = [graph.parents(v) for v in order]
 
     # D pairs to zero with every support curve and with the log pullback,
     # sum(c_v * avail[v]), exactly when every vertex with c_v != 0 ends at
@@ -173,7 +172,7 @@ def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: i
                     found.append(CandidateClass(DivisorClass(graph, d, e), self_int, k_int))
                 return
             v = order[i]
-            left, right = parents[v]
+            left, right = parents[i]
             cap = min(2 * d, avail[left], avail[right])
             forced = {0 if s == v else avail[s] for s in settles[i]}
             if len(forced) > 1 or max(forced, default=0) > cap:

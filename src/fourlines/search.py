@@ -369,13 +369,11 @@ def _corner_need(weights, boundary_index: Optional[int]) -> list[int]:
     return [0 if c == boundary_index else 2 if weights[c] >= n else 3 for c in range(4)]
 
 
-def _mark_deficit(weights, need: list[int], summaries, n=None) -> int:
+def _mark_deficit(weights, need: list[int], summaries) -> int:
     """Mark increments a form lacks before it could certify (an insertion
     adds two): the touches of ``need`` each corner has not got, and one for
-    each interior white lighter than n, which must turn black.  ``n``, when
-    given, must be ``sum(weights)``."""
-    if n is None:
-        n = sum(weights)
+    each interior white lighter than n, which must turn black."""
+    n = sum(weights)
     counts = [0, 0, 0, 0]
     deficit = 0
     for (i, j), s in zip(EDGE_PAIRS, summaries):
@@ -396,7 +394,6 @@ def generic_search(config: SearchConfig) -> SearchResult:
     if config.mode != GENERIC:
         raise ValueError("generic_search needs mode='generic'")
     weights, b_index = _scaled_weights(config.weights)[1], config.boundary_index
-    n = sum(weights)
     need = _corner_need(weights, b_index)
     least, relabelings = corner_relabelings(config.weights, b_index)
     seen: set[Key] = set()
@@ -414,7 +411,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
     while stack:
         summaries = stack.pop()
         remaining = config.max_blowups - sum(len(s.pattern) for s in summaries)
-        if remaining <= 0 or _mark_deficit(weights, need, summaries, n) > 2 * remaining:
+        if remaining <= 0 or _mark_deficit(weights, need, summaries) > 2 * remaining:
             continue
         for e, s in enumerate(summaries):
             path = ((1, 0), *s.pattern, (0, 1))

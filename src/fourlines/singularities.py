@@ -28,13 +28,14 @@ residual raises ArithmeticError.  The same solve also returns the
 chain's volume numerator, the sum of b_j (a_j - 2) times d_k, which is
 the chain's term in the adjunction sum K^2 = 9 - blowups + sum of
 b_v (a_v - 2).  The solution depends only on the marks and the contacts,
-so it is cached on them: a search meets the same few hundred chains
-thousands of times.
+so ``_chain_discrepancies`` caches it on them, the one cache per chain
+shape: a search meets the same few hundred chains thousands of times.
 
 One walk of the black subgraph (``_components``) finds the components and
 gives each chain its Chain value and boundary contacts, ready for the
 cached solve; ``black_components``, ``check_log_terminal``, ``chains``,
-``discrepancy_numerators`` and ``certify`` all read it.
+``discrepancy_numerators`` and ``certify`` all read it, and the last two
+wrap each cached numerator as a Discrepancy over its determinant.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -116,10 +118,6 @@ class _Component(NamedTuple):
     chain: Optional[Chain] = None
     #: 1 where a vertex of the chain meets the boundary, else 0, in path order
     contacts: tuple[int, ...] = ()
-
-    def solve(self) -> tuple[int, tuple[int, ...], tuple[Discrepancy, ...]]:
-        """The chain's determinant, discrepancy numerators and discrepancies."""
-        return _chain_solution(self.chain.marks, self.contacts)
 
 
 def _components(graph: "VisibleGraph") -> list[_Component]:
@@ -208,7 +206,8 @@ def discrepancy_numerators(graph: "VisibleGraph") -> dict[str, Discrepancy]:
     """
     out: dict[str, Discrepancy] = {}
     for comp in _chain_components(graph):
-        out.update(zip(comp.vertex_ids, comp.solve()[2]))
+        det, nums, _ = _chain_discrepancies(comp.chain.marks, comp.contacts)
+        out.update(zip(comp.vertex_ids, map(Discrepancy, nums, repeat(det))))
     return out
 
 
@@ -258,16 +257,6 @@ def _chain_discrepancies(
         if res:
             raise ArithmeticError(f"discrepancy residual {res}/{det} on chain {tuple(marks)}")
     return det, tuple(nums), sum(num * (a - 2) for num, a in zip(nums, marks))
-
-
-@lru_cache(maxsize=8192)
-def _chain_solution(
-    marks: tuple[int, ...], contacts: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[Discrepancy, ...]]:
-    """The chain core's determinant and numerators, with each numerator as a
-    Discrepancy; chains of one shape share the values."""
-    det, nums, _ = _chain_discrepancies(marks, contacts)
-    return det, nums, tuple(Discrepancy(num, det) for num in nums)
 
 
 def _continuants(marks: Sequence[int]) -> list[int]:

@@ -19,6 +19,7 @@ files must round-trip, and damaged ones must fail with FormatError alone.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
@@ -280,6 +281,16 @@ def test_from_edge_content_rejects_a_pair_without_its_parents():
 def test_from_edge_content_rejects_a_pair_outside_the_stern_brocot_tree(pair):
     with pytest.raises(GraphError, match="coprime positive"):
         VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, {(1, 3): [(1, 1), pair]})
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 7)])
+def test_edge_content_rejects_a_key_outside_edge_pairs(key):
+    """A key that is no edge of EDGE_PAIRS is named, not dropped as a bare edge."""
+    content = {key: [(1, 1)]}
+    with pytest.raises(GraphError, match=re.escape(repr(key))):
+        VisibleGraph.from_edge_content(("a", "b", "c", "d"), (1, 2, 3, 5), None, content)
+    with pytest.raises(GraphError, match=re.escape(repr(key))):
+        canonical_key((1, 2, 3, 5), None, content)
 
 
 def descended_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:
