@@ -14,9 +14,11 @@ weights, which is what the searches and the ample-weight finder use.
 The sums run on integer numerators over the chain determinants: one
 walk of the black subgraph (``singularities._chain_components``) yields
 each chain, and the cached chain core (``_chain_discrepancies``) solves
-it; a Fraction is built only for a report field or a reason, and
-``certify`` reads its near-CY tag and its loose and strict weight
-failures off one integer pass over the whites.
+it.  ``certify`` keeps each discrepancy as the core's (numerator,
+determinant) pair; ``kc_degree``, ``volume`` and ``epsilon1`` turn their
+Fraction maps into pairs once.  A Fraction is built only for a report
+field or a reason, and ``certify`` reads its near-CY tag and its loose
+and strict weight failures off one integer pass over the whites.
 ``glue`` reaches certify's verdict on a graph given by edge content from
 cached per-edge summaries, without building the graph.  It solves the chain through each path of
 black corners once per tuple of corner stars (``_path_chain``), so a
@@ -25,7 +27,7 @@ sends each cached tap to its slot.  Its weight tests are homogeneous, so
 its verdict does not change under a positive scale of the weights, and
 the searches hand it integers.  It and ``edge_summary`` take each
 chain's volume term from the chain core, the third value of
-``singularities._chain_discrepancies``, while ``volume`` sums
+``singularities._chain_discrepancies``, while ``_volume_ratio`` sums
 b (mark - 2) vertex by vertex, so the search's cross-check of the glue
 against certify compares two independent volume formulas.
 """
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Seque
 
 from . import lattice, singularities
 from .graph import EDGE_PAIRS
-from .singularities import Chain, Discrepancy, NotChainError
+from .singularities import Chain, NotChainError
 
 if TYPE_CHECKING:
     from .graph import VisibleGraph
@@ -132,9 +134,13 @@ class SurfaceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-#: a discrepancy map: each black vertex to its discrepancy, as a Fraction
-#: or as a Discrepancy (``singularities.discrepancy_numerators``)
-Discrepancies = Mapping[str, Union[Fraction, Discrepancy]]
+#: a discrepancy map as (numerator, denominator) pairs, one per black vertex
+Pairs = Mapping[str, tuple[int, int]]
+
+
+def _pairs(b: Mapping[str, Fraction]) -> dict[str, tuple[int, int]]:
+    """A discrepancy map of Fractions as pairs."""
+    return {v: (x.numerator, x.denominator) for v, x in b.items()}
 
 
 def _ratio_sum(terms: Iterable[tuple[int, int]], num: int = 0, den: int = 1) -> tuple[int, int]:
@@ -152,37 +158,42 @@ def _ratio_sum(terms: Iterable[tuple[int, int]], num: int = 0, den: int = 1) -> 
     return num, den
 
 
-def _degree_ratio(graph: "VisibleGraph", b: Discrepancies, v: str, base: int) -> tuple[int, int]:
+def _degree_ratio(graph: "VisibleGraph", b: Pairs, v: str, base: int) -> tuple[int, int]:
     """base plus the b of v's black neighbours, as an unreduced pair; ``b``
     holds exactly the black vertices."""
-    return _ratio_sum([(x.numerator, x.denominator) for x in map(b.get, graph.neighbors(v)) if x is not None], base)
+    return _ratio_sum(filter(None, map(b.get, graph.neighbors(v))), base)
 
 
-def _kc_ratio(graph: "VisibleGraph", b: Discrepancies, white: str) -> tuple[int, int]:
+def _kc_ratio(graph: "VisibleGraph", b: Pairs, white: str) -> tuple[int, int]:
     """kc_degree as an unreduced pair: base -1, or 0 next to the boundary."""
     return _degree_ratio(graph, b, white, 0 if graph.boundary in graph.neighbors(white) else -1)
 
 
-def kc_degree(graph: "VisibleGraph", b: Discrepancies, white: str) -> Fraction:
+def _volume_ratio(graph: "VisibleGraph", b: Pairs) -> tuple[int, int]:
+    """volume as an unreduced pair."""
+    mark = graph.mark
+    num, den = _ratio_sum([(n * (mark(v) - 2), d) for v, (n, d) in b.items()], 9 - graph.blowups)
+    if graph.boundary is not None:
+        eps = _degree_ratio(graph, b, graph.boundary, -2)
+        num, den = _ratio_sum([eps], num + (mark(graph.boundary) - 2) * den, den)
+    return num, den
+
+
+def kc_degree(graph: "VisibleGraph", b: Mapping[str, Fraction], white: str) -> Fraction:
     """Degree of the contracted (log) canonical divisor on a white curve."""
     if graph.color(white) != "white":
         raise ValueError(f"{white!r} is not a white vertex")
-    return Fraction(*_kc_ratio(graph, b, white))
+    return Fraction(*_kc_ratio(graph, _pairs(b), white))
 
 
-def volume(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
+def volume(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
     """Self-intersection of the contracted (log) canonical divisor.
 
     Computed through adjunction alone: K^2 = 9 - blowups and
     K.E = mark - 2 for every visible curve.  ``b`` must hold exactly the
     black vertices.
     """
-    mark = graph.mark
-    num, den = _ratio_sum([(x.numerator * (mark(v) - 2), x.denominator) for v, x in b.items()], 9 - graph.blowups)
-    if graph.boundary is not None:
-        eps = _degree_ratio(graph, b, graph.boundary, -2)
-        num, den = _ratio_sum([eps], num + (mark(graph.boundary) - 2) * den, den)
-    return Fraction(num, den)
+    return Fraction(*_volume_ratio(graph, _pairs(b)))
 
 
 def volume_lattice(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
@@ -262,11 +273,11 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
     return near, loose, strict
 
 
-def epsilon1(graph: "VisibleGraph", b: Discrepancies) -> Fraction:
+def epsilon1(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
     """Boundary excess: -2 plus the b_i over the boundary's black neighbours."""
     if graph.boundary is None:
         raise ValueError("graph has no boundary")
-    return Fraction(*_degree_ratio(graph, b, graph.boundary, -2))
+    return Fraction(*_degree_ratio(graph, _pairs(b), graph.boundary, -2))
 
 
 def delta1(graph: "VisibleGraph", near: Optional[NearCY] = None) -> Optional[Fraction]:
@@ -318,13 +329,13 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
             reasons=reasons,
         )
 
-    b: dict[str, Discrepancy] = {}
+    b: dict[str, tuple[int, int]] = {}
     singular = []
     log_canonical_only = False
     for comp in components:
         det, nums, _ = singularities._chain_discrepancies(comp.chain.marks, comp.contacts)
         singular.append((comp.chain, det))
-        b.update(zip(comp.vertex_ids, map(Discrepancy, nums, repeat(det))))
+        b.update(zip(comp.vertex_ids, zip(nums, repeat(det))))
         if min(nums) < 0 or max(nums) >= det:
             for v, num in zip(comp.vertex_ids, nums):
                 if num > det:
@@ -334,15 +345,15 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
                 if num < 0:
                     reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} < 0")
 
-    vol = volume(graph, b)
-    eps = epsilon1(graph, b) if graph.boundary is not None else None
+    vol = Fraction(*_volume_ratio(graph, b))
+    eps = None if graph.boundary is None else Fraction(*_degree_ratio(graph, b, graph.boundary, -2))
 
     if not reasons:
         # the numerator's sign is the degree's: denominators are positive
-        kcs = {v: _kc_ratio(graph, b, v)[0] for v in graph.whites()}
+        kcs = {v: _kc_ratio(graph, b, v) for v in graph.whites()}
         for v, kc in kcs.items():
-            if kc < 0:
-                reasons.append(f"white {v} has negative canonical degree {kc_degree(graph, b, v)}")
+            if kc[0] < 0:
+                reasons.append(f"white {v} has negative canonical degree {Fraction(*kc)}")
         if eps is not None and eps <= 0:
             reasons.append(f"boundary excess {eps} is not positive")
         if vol <= 0:
@@ -353,7 +364,7 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
     if not reasons:
         # certified; the strict failures, if any, are why it is not ample
         reasons = strict
-        reasons.extend(f"white {v} has canonical degree 0" for v, kc in kcs.items() if kc == 0)
+        reasons.extend(f"white {v} has canonical degree 0" for v, kc in kcs.items() if kc[0] == 0)
         if log_canonical_only:
             reasons.append("a discrepancy equals 1 (log canonical only)")
         status = BIG_NEF if reasons else AMPLE

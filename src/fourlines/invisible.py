@@ -11,6 +11,10 @@ for such classes inside a bounded box of the Picard lattice.
 A candidate is a lattice solution only.  Whether it is realized by an
 honest curve depends on the geometry of the surface (and on the
 characteristic of the ground field); that question is not decided here.
+
+The hunt first checks that the pullback coefficients, summed over the
+curve classes in one pass (``lattice.combination``), give
+``lattice.log_pullback``; a mismatch raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -130,11 +134,7 @@ def search_orthogonal(graph: "VisibleGraph", b: Mapping[str, Fraction], d_max: i
     if d_max > D_MAX_LIMIT:
         raise ValueError(f"d_max must be at most {D_MAX_LIMIT}")
     coeffs = pullback_coefficients(graph, b)
-    spanned = sum(
-        (coeffs[v] * lattice.class_of(graph, v) for v in graph.vertices),
-        DivisorClass(graph),
-    )
-    if spanned != lattice.log_pullback(graph, b):
+    if lattice.combination(graph, coeffs) != lattice.log_pullback(graph, b):
         raise ArithmeticError("pullback coefficients do not span the log pullback")
 
     order = graph.vertices[4:]  # the inserted curves, in insertion order

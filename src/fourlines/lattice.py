@@ -6,6 +6,10 @@ curve), with F^2 = -1.  The class of a visible curve is its strict
 transform: a corner starts at H and an inserted vertex starts at its
 own F; every later insertion at a vertex subtracts the new F from that
 vertex's class.
+
+``combination`` is the one place that applies that rule: it sums any
+combination of curve classes into one coefficient map in one pass, so
+``class_of`` and ``log_pullback`` copy no class per term.
 """
 
 from __future__ import annotations
@@ -96,19 +100,29 @@ def _same_graph(c1: DivisorClass, c2: DivisorClass) -> None:
         raise ValueError("divisor classes live over different graphs")
 
 
+def combination(graph: "VisibleGraph", coeffs: Mapping[str, Rational]) -> DivisorClass:
+    """The sum of coeffs[v] times the strict-transform class of v, in one pass.
+
+    A corner's class starts at H and an inserted vertex's at its own F;
+    each child of v subtracts its F from the class of v.
+    """
+    h = Fraction(0)
+    e: dict[str, Fraction] = {}
+    for v, c in coeffs.items():
+        if graph.is_corner(v):
+            h += c
+        else:
+            e[v] = e.get(v, 0) + c
+        for child in graph.children(v):
+            e[child] = e.get(child, 0) - c
+    return DivisorClass(graph, h, e)
+
+
 def class_of(graph: "VisibleGraph", vertex: str) -> DivisorClass:
     """Strict-transform class of a visible curve."""
     if vertex not in graph.vertices:
         raise ValueError(f"unknown vertex {vertex!r}")
-    e: dict[str, Fraction] = {}
-    if not graph.is_corner(vertex):
-        e[vertex] = Fraction(1)
-        h = Fraction(0)
-    else:
-        h = Fraction(1)
-    for child in graph.children(vertex):
-        e[child] = e.get(child, Fraction(0)) - 1
-    return DivisorClass(graph, h, e)
+    return combination(graph, {vertex: 1})
 
 
 def canonical_class(graph: "VisibleGraph") -> DivisorClass:
@@ -136,12 +150,7 @@ def log_pullback(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> DivisorCla
     pairs to zero with every black vertex class, and with the boundary
     class it pairs to the boundary excess.
     """
-    blacks = set(graph.blacks())
-    if set(b) != blacks:
+    if set(b) != set(graph.blacks()):
         raise ValueError("discrepancy vector must be indexed by exactly the black vertices")
-    total = canonical_class(graph)
-    if graph.boundary is not None:
-        total = total + class_of(graph, graph.boundary)
-    for v in graph.blacks():
-        total = total + b[v] * class_of(graph, v)
-    return total
+    coeffs = dict(b) if graph.boundary is None else {graph.boundary: 1, **b}
+    return canonical_class(graph) + combination(graph, coeffs)

@@ -34,8 +34,9 @@ shape: a search meets the same few hundred chains thousands of times.
 One walk of the black subgraph (``_components``) finds the components and
 gives each chain its Chain value and boundary contacts, ready for the
 cached solve; ``black_components``, ``check_log_terminal``, ``chains``,
-``discrepancy_numerators`` and ``certify`` all read it, and the last two
-wrap each cached numerator as a Discrepancy over its determinant.
+``solve_discrepancies`` and ``certify`` all read it.  ``certify`` keeps
+each discrepancy as its cached (numerator, determinant) pair, and
+``solve_discrepancies`` reduces each to a Fraction.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -51,11 +51,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Chain",
-    "Discrepancy",
     "NotChainError",
     "black_components",
     "check_log_terminal",
-    "discrepancy_numerators",
     "solve_discrepancies",
     "chain_determinant",
     "orbifold_defect",
@@ -64,17 +62,6 @@ __all__ = [
 
 class NotChainError(ValueError):
     """A black component is not a simple path."""
-
-
-class Discrepancy(NamedTuple):
-    """A discrepancy as its integer numerator over its chain's determinant.
-
-    The pair is not reduced.  Its fields read as those of a Fraction, so
-    the sums in ``certify`` take either.
-    """
-
-    numerator: int
-    denominator: int
 
 
 @dataclass(frozen=True)
@@ -197,26 +184,18 @@ def chains(graph: "VisibleGraph") -> list[Chain]:
     return [comp.chain for comp in _chain_components(graph)]
 
 
-def discrepancy_numerators(graph: "VisibleGraph") -> dict[str, Discrepancy]:
-    """The discrepancy of every black vertex over its chain's determinant.
+def solve_discrepancies(graph: "VisibleGraph") -> dict[str, Fraction]:
+    """Exact solution of the discrepancy system, one entry per black vertex.
 
     Raises NotChainError when a black component is not a path, and
     ArithmeticError when the integer residual check fails.  Entries run
     chain by chain.
     """
-    out: dict[str, Discrepancy] = {}
+    out: dict[str, Fraction] = {}
     for comp in _chain_components(graph):
         det, nums, _ = _chain_discrepancies(comp.chain.marks, comp.contacts)
-        out.update(zip(comp.vertex_ids, map(Discrepancy, nums, repeat(det))))
+        out.update(zip(comp.vertex_ids, [Fraction(num, det) for num in nums]))
     return out
-
-
-def solve_discrepancies(graph: "VisibleGraph") -> dict[str, Fraction]:
-    """Exact solution of the discrepancy system, one entry per black vertex.
-
-    As ``discrepancy_numerators``, with each entry reduced to a Fraction.
-    """
-    return {v: Fraction(num, det) for v, (num, det) in discrepancy_numerators(graph).items()}
 
 
 @lru_cache(maxsize=8192)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -274,6 +275,31 @@ def test_search_deterministic_across_jobs(capsys, tmp_path):
         )
     assert outputs[0] == outputs[1]
     assert files[0] == files[1]
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Vertex ids are strings kept in sets, so a different hash seed
+    changes every set's iteration order; stdout and each --out file must
+    not change with it."""
+    out_dir = tmp_path / "out"
+    commands = (
+        ["search", "--weights", "1,1,2,3", "--boundary", "--max-blowups", "14", "--jobs", "2", "--out", str(out_dir)],
+        ["invisible", fixture_path("p462a"), "--d-max", "8"],
+    )
+    runs = []
+    for seed in ("0", "1"):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        env = dict(source_env(), PYTHONHASHSEED=seed)
+        stdouts = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fourlines.cli", *argv], capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout)
+        runs.append((stdouts, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+    assert runs[0][1], "the search wrote no --out file"
+    assert runs[0] == runs[1]
 
 
 def test_search_with_a_pool_exits_cleanly():

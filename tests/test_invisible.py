@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from fourlines import graph as graphmod
+from fourlines import lattice
 from fourlines.invisible import (
     D_MAX_LIMIT,
     CandidateClass,
@@ -112,6 +113,8 @@ def test_pullback_expression_matches_log_pullback():
             (coeffs[v] * class_of(g, v) for v in g.vertices), DivisorClass(g)
         )
         assert total == log_pullback(g, b)
+        assert lattice.combination(g, coeffs) == total
+        assert lattice.combination(g, {}) == DivisorClass(g)
         checked += 1
 
 
