@@ -42,7 +42,7 @@ from itertools import groupby, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
-from .graph import EDGE_PAIRS
+from .graph import EDGE_PAIRS, _orientations
 from .singularities import Chain, NotChainError
 
 if TYPE_CHECKING:
@@ -422,6 +422,9 @@ class EdgeSummary(NamedTuple):
     inner_volume: tuple[int, int]
     #: the interior whites' pairs
     whites: tuple[tuple[int, int], ...]
+    #: the pairs in creation order as read from end 0 and from end 1
+    #: (``graph._orientations``): what ``graph.least_reading`` reads of the edge
+    reads: tuple[tuple, tuple]
 
 
 def _touches(pattern: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -442,7 +445,7 @@ def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
     blacks = sum(a >= 2 for a in marks)
     white_at = [k for k, a in enumerate(marks) if a == 1]
     if not white_at:  # only a bare edge has no white
-        return EdgeSummary(pattern, touches, blacks, ((), ()), None, False, False, (0, 1), ())
+        return EdgeSummary(pattern, touches, blacks, ((), ()), None, False, False, (0, 1), (), _orientations(pattern))
     first, last = white_at[0], white_at[-1]
     b: dict[int, tuple[int, int]] = {}  # position of an inner black: its discrepancy
     vol = (0, 1)
@@ -461,7 +464,7 @@ def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
     return EdgeSummary(
         pattern, touches, blacks, (tuple(marks[:first]), tuple(marks[:last:-1])), faces,
         first == last, any(degree(k, -1, 1)[0] < 0 for k in white_at[1:-1]), vol,
-        tuple(path[k] for k in white_at),
+        tuple(path[k] for k in white_at), _orientations(pattern),
     )
 
 

@@ -19,9 +19,10 @@ modular inverse.
 
 A graph's one identity is ``canonical_key`` of the corner weights, boundary
 and edge content alone; a corner relabeling is a list of reads into each
-edge pattern's two cached orientations.  ``least_reading`` also says
-whether the first relabeling reads the least key, which holds for exactly
-one edge content of each form, so a search can count forms without keys.
+edge pattern's two orientations, which a search's edge summaries carry.
+``least_reading`` also says whether the first relabeling reads the least
+key, which holds for exactly one edge content of each form, so a search
+can count forms without keys.
 A search deduplicates before it builds, and
 ``VisibleGraph.from_canonical_key`` builds a key.
 
@@ -456,8 +457,7 @@ def _creation_order(pair: tuple[int, int]) -> tuple[int, int]:
     return (pair[0] + pair[1], pair[0])
 
 
-@lru_cache(maxsize=4096)
-def _orientations(pattern: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+def _orientations(pattern: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
     """An edge's pairs in creation order as read from its first corner and from its second."""
     return tuple(sorted(pattern, key=_creation_order)), tuple(sorted([(b, a) for a, b in pattern], key=_creation_order))
 
@@ -477,10 +477,10 @@ def canonical_key(
     creation order.  The corner key is compared first, so only the
     relabelings that list the corner keys in sorted order can reach the
     minimum; with four distinct corner keys that is one of the 24.  Each is
-    a fixed list of reads into the cached ``_orientations`` of the patterns.
+    a fixed list of reads into the ``_orientations`` of the patterns.
     """
     least, relabelings = corner_relabelings(tuple(weights), boundary_index)
-    return least, least_reading(relabelings, _edge_patterns(content))[0]
+    return least, least_reading(relabelings, [_orientations(p) for p in _edge_patterns(content)])[0]
 
 
 @lru_cache(maxsize=1024)
@@ -502,9 +502,10 @@ def corner_relabelings(weights: tuple, boundary_index: Optional[int]) -> tuple[t
     )
 
 
-def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple, bool]:
-    """The least edge key of the six ``patterns`` (in EDGE_PAIRS order) over
-    ``relabelings``, and whether the first relabeling reads it.
+def least_reading(relabelings: tuple[tuple, ...], sides: Sequence[tuple[tuple, tuple]]) -> tuple[tuple, bool]:
+    """The least edge key over ``relabelings`` of the six patterns whose
+    ``_orientations`` are ``sides`` (in EDGE_PAIRS order), and whether the
+    first relabeling reads it.
 
     The relabelings that keep the corner keys map each edge content onto
     the others of its orbit, and those read the same set of edge keys; the
@@ -512,7 +513,6 @@ def least_reading(relabelings: tuple[tuple, ...], patterns: Sequence[Sequence[tu
     the orbit, so a search that keeps only the contents for which this
     returns True keeps one content per form.
     """
-    sides = [_orientations(tuple(p)) for p in patterns]
     readings = [tuple(sides[e][side] for e, side in reads) for reads in relabelings]
     least = min(readings)
     return least, readings[0] == least

@@ -10,18 +10,20 @@ assembly either keeps the boundary at weight 1 or steps exactly one
 white up to n + 1.  Keeping the smallest certified volume reproduces the
 record hunts at desk scale; the (1,2,3,5) families are finite, and
 budgets 48 (interior) and 47 (boundary) assemble all of them.  A CY
-search enumerates each edge once into its CY and one-step tables.
+search's work is stated once, in ``_cy_tables``: each edge's CY and
+one-step patterns, from one enumeration, and the tasks, each an edge and
+the pattern it fixes there.  Any other boundary weight is refused first.
 
 A form's one identity is its ``graph.canonical_key`` tuple, computed from
 the weights, the boundary and the edge content.  The generic walk
 deduplicates each new form on it.  The CY scan meets every form once per
 member of its orbit under the weight- and boundary-preserving corner
 relabellings, and counts a combination only if ``graph.least_reading``
-finds that its first relabelling reads the least edge key: one member of
-each orbit passes (the canonical-member rule of McKay's isomorph-free
-generation), so the count is the number of distinct forms.  With one
-relabelling, as whenever the four corner keys differ, every combination
-passes untested.  Both modes hand each new form to ``_judge``, which
+finds on its summaries' ``reads`` that its first relabelling reads the
+least edge key: one member of each orbit passes (the canonical-member
+rule of McKay's isomorph-free generation), so the count is the number of
+distinct forms.  With one relabelling, as whenever the four corner keys
+differ, every combination passes untested.  Both modes hand each new form to ``_judge``, which
 runs ``certify.glue`` on the summaries of its six edge patterns, without
 building a graph.  The glue and the generic walk's pruning bound
 ``_mark_deficit`` get the weights scaled once per search to integers by
@@ -45,16 +47,16 @@ search that fans out imports the pool module (which loads
 reuses it (a search of another size replaces it, and one that fails
 drops it, so the next starts afresh), and an ``atexit`` hook drops it
 when the interpreter exits; a worker ends itself as soon as its owner
-process is gone, under every start method.  The CY tables are built once
-per search and handed to the workers.  A task fixes one edge's pattern,
-and a combination is counted only if each corner has the touches
-``_corner_need`` asks; the generic walk prunes by the same rule.  The
-task's scan takes the five other edges as its levels, the smallest CY
-table first, so the largest comes last.  Each level knows, for its two
-corners, the most touches the later levels could still add, and skips a
-pattern that leaves either corner short of its need even then; a task
-whose fixed pattern leaves some corner short even if every level took
-its most is dropped before its pattern is summarised.  Both rules drop
+process is gone, under every start method.  The workers get the config
+and the CY summaries, built once per search.  A combination is counted
+only if each corner has the touches ``_corner_need`` asks; the generic
+walk prunes by the same rule.  A task's scan takes the five other edges
+as its levels, the smallest CY table first, so the largest comes last.
+Each level knows, for its two corners, the most touches the later levels
+could still add, and skips a pattern that leaves either corner short of
+its need even then; a task whose fixed pattern leaves some corner short
+even if every level took its most is dropped before its pattern is
+summarised.  Both rules drop
 only combinations that miss the need, so the count does not change.
 Both modes end in ``_result``, which builds the least-volume forms from
 their keys.
@@ -401,7 +403,7 @@ def generic_search(config: SearchConfig) -> SearchResult:
     stack: list[tuple[EdgeSummary, ...]] = []
 
     def reach(summaries: tuple[EdgeSummary, ...]) -> None:
-        key = least, least_reading(relabelings, [s.pattern for s in summaries])[0]
+        key = least, least_reading(relabelings, [s.reads for s in summaries])[0]
         if key not in seen:
             seen.add(key)
             _judge(weights, b_index, summaries, lambda: key, certified)
@@ -426,50 +428,49 @@ def generic_search(config: SearchConfig) -> SearchResult:
 
 
 def _cy_tables(config: SearchConfig):
-    """Per edge, the summaries of its CY patterns and its bare one-step patterns.
+    """The CY work of a search: per edge, the summaries of its CY patterns;
+    the tasks, as (edge index, pattern) pairs; and the number of patterns
+    the edges hold.
 
-    Each edge is enumerated once; the tables go to every worker.  A
-    one-step pattern is read only by the task that fixes it, which
-    summarises it, so none is summarised under a unit boundary.
+    Each edge is enumerated once into its CY and one-step patterns.  Under
+    a unit boundary every edge stays CY, and the tasks fix edge 0's CY
+    patterns; otherwise they fix every edge's one-step patterns, in
+    EDGE_PAIRS order.  Only the CY summaries go to every worker: a task's
+    pattern is summarised by the task that fixes it.
     """
     n, w = config.total_weight, config.weights
-    cy, step = {}, {}
-    for i, j in EDGE_PAIRS:
-        cy_patterns, step[(i, j)] = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
+    unit_boundary = config.boundary and w[0] == 1
+    cy, tasks, patterns = {}, [], 0
+    for e, (i, j) in enumerate(EDGE_PAIRS):
+        cy_patterns, step = _edge_tables(w[i], w[j], n, config.max_blowups, 1)
         cy[(i, j)] = [edge_summary(p) for p in cy_patterns]
-    return cy, step
-
-
-def _cy_case(config: SearchConfig) -> int:
-    """3 = keep the unit boundary and stay CY; 2 = step one white up."""
-    if config.boundary:
-        w0 = config.weights[0]
-        if w0 == 1:
-            return 3
-        if w0 == 0:
-            return 2
-        raise ValueError("cy_step_up mode needs boundary weight 0 or 1")
-    return 2
+        if not unit_boundary:
+            tasks += [(e, p) for p in step]
+        elif e == 0:
+            tasks += [(e, p) for p in cy_patterns]
+        patterns += len(cy_patterns) + len(step)
+    return cy, tasks, patterns
 
 
 def _cy_worker(args) -> tuple[int, Certified]:
     """The number of forms among the tasks' combinations, and those of them
     that certify, by canonical key.
 
-    A task fixes one edge's pattern; the five other edges are the levels
-    of one scan, the smallest CY table first and the largest last.  Each
-    level knows the *floor* of its two corners, the touches each must have
-    once its pattern is chosen: its need less the most touches the later
-    levels could still add there.  A pattern that leaves either corner
+    ``args`` is ``((config, cy), tasks)``, with the CY summaries and tasks
+    of ``_cy_tables``.  A task (e, pattern) fixes edge e to ``pattern``,
+    which it summarises, whichever case made the task; the five other
+    edges are the levels of one scan, the smallest CY table first and the
+    largest last.  Each level knows the *floor* of its two corners, the
+    touches each must have once its pattern is chosen: its need less the
+    most touches the later levels could still add there.  A pattern that leaves either corner
     below its floor is skipped, and a task whose fixed pattern leaves some
     corner short even if every level took its most is skipped before its
     pattern is summarised.  Only combinations that miss ``need`` are
     dropped, so the count does not change.
     """
-    (config, cy, step), tasks = args
+    (config, cy), tasks = args
     weights = _scaled_weights(config.weights)[1]
     b_index = config.boundary_index
-    unit_boundary = _cy_case(config) == 3
     need = _corner_need(weights, b_index)
     least, relabelings = corner_relabelings(config.weights, b_index)
     assembled = 0
@@ -496,7 +497,7 @@ def _cy_worker(args) -> tuple[int, Certified]:
 
     def read_key() -> Key:
         """The key of the combination in ``chosen`` under one relabelling."""
-        return least, least_reading(relabelings, [s.pattern for s in chosen])[0]
+        return least, least_reading(relabelings, [s.reads for s in chosen])[0]
 
     def scan(levels: list[tuple[int, list[EdgeSummary], int, int]], k: int, left: int) -> None:
         nonlocal assembled
@@ -506,7 +507,7 @@ def _cy_worker(args) -> tuple[int, Certified]:
             # is its whole need.  Count the one member of each orbit that its
             # first relabelling reads least; with one relabelling each
             # combination is its own orbit
-            if len(relabelings) > 1 and not least_reading(relabelings, [s.pattern for s in chosen])[1]:
+            if len(relabelings) > 1 and not least_reading(relabelings, [s.reads for s in chosen])[1]:
                 return
             assembled += 1
             _judge(weights, b_index, chosen, read_key, certified)
@@ -528,17 +529,14 @@ def _cy_worker(args) -> tuple[int, Certified]:
             counts[i] -= ti
             counts[j] -= tj
 
-    for e, idx in tasks:
-        # a task (e, k) fixes edge e to the k-th pattern of edge 0's CY
-        # table under a unit boundary, else of the edge's one-step table
+    for e, pattern in tasks:
         edge = EDGE_PAIRS[e]
-        pattern = cy[edge][idx].pattern if unit_boundary else step[edge][idx]
         levels, room = plans[e]
         counts[:] = [0, 0, 0, 0]
         counts[edge[0]], counts[edge[1]] = _touches(pattern)
         if any(c + r < want for c, r, want in zip(counts, room, need)):
             continue  # some corner falls short even if every level takes its most
-        chosen[e] = cy[edge][idx] if unit_boundary else edge_summary(pattern)
+        chosen[e] = edge_summary(pattern)
         scan(levels, 0, config.max_blowups - len(pattern))
     return assembled, certified
 
@@ -548,18 +546,15 @@ def cy_step_up_search(config: SearchConfig) -> SearchResult:
 
     With a boundary of weight 1 every edge stays CY (the volume is then
     carried by the boundary excess); otherwise exactly one edge uses a
-    one-step pattern whose unique off-CY white weighs n + 1.
+    one-step pattern whose unique off-CY white weighs n + 1.  A boundary
+    of any other weight raises ValueError.
     """
     if config.mode != CY_STEP_UP:
         raise ValueError("cy_step_up_search needs mode='cy_step_up'")
-    case = _cy_case(config)
-    cy, step = _cy_tables(config)
-    if case == 3:
-        tasks = [(0, k) for k in range(len(cy[EDGE_PAIRS[0]]))]
-    else:
-        tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
-    assembled, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)
-    edge_patterns = sum(len(v) for v in cy.values()) + sum(len(v) for v in step.values())
+    if config.boundary and config.weights[0] not in (0, 1):
+        raise ValueError("cy_step_up mode needs boundary weight 0 or 1")
+    cy, tasks, edge_patterns = _cy_tables(config)
+    assembled, certified = _run_tasks(_cy_worker, (config, cy), tasks, config.jobs)
     return _result(certified, config.rho_filter, edge_patterns=edge_patterns, tasks=len(tasks), assembled=assembled)
 
 

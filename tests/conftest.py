@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import random
 import time
 from contextlib import contextmanager
@@ -39,6 +40,17 @@ def fresh_pool():
     searchmod._drop_pool()
     yield
     searchmod._drop_pool()
+
+
+@pytest.fixture
+def no_pool(monkeypatch, fresh_pool):
+    """A test fails as soon as it starts a process pool."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
 
 
 def random_graph(

@@ -38,7 +38,7 @@ from fourlines.closed_forms import (
     t_surface_chains,
     weighted_hypersurface_k2,
 )
-from fourlines.graph import BLACK, BOUNDARY, EDGE_PAIRS, VisibleGraph, parse
+from fourlines.graph import BLACK, BOUNDARY, VisibleGraph, parse
 from fourlines.invisible import (
     crepant_check,
     search_orthogonal,
@@ -48,7 +48,6 @@ from fourlines.lattice import DivisorClass, log_pullback, pairing
 from fourlines.search import (
     GENERIC,
     SearchConfig,
-    _cy_case,
     _cy_tables,
     _cy_worker,
     _run_tasks,
@@ -267,12 +266,8 @@ def test_criterion_10a_volume_identity_on_certified_population():
     config = SearchConfig(
         weights=(1, 2, 3, 5), boundary=False, max_blowups=30, jobs=4
     )
-    assert _cy_case(config) == 2
-    cy, step = _cy_tables(config)
-    tasks = [
-        (e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))
-    ]
-    _, certified = _run_tasks(_cy_worker, (config, cy, step), tasks, config.jobs)
+    cy, tasks, _ = _cy_tables(config)
+    _, certified = _run_tasks(_cy_worker, (config, cy), tasks, config.jobs)
     assert len(certified) >= 1000
     for key, (vol, _) in certified.items():
         g = VisibleGraph.from_canonical_key(key)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -43,6 +44,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_console_block(capsys, monkeypatch, tmp_path):
+    """Each ``$ fourlines`` command of README's console block prints the
+    lines shown under it; a ``...`` line stands for any lines.  Run from
+    the checkout's root, with ``--out`` under tmp_path.  The block pins,
+    among others, a unit-boundary search's ``edge_patterns`` and ``tasks``."""
+    root = Path(__file__).resolve().parent.parent
+    block = (root / "README.md").read_text().split("```console\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    commands = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        argv = command.removeprefix("$ fourlines ").split()
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            shown = [line.replace(argv[at], str(tmp_path)) for line in shown]
+            argv[at] = str(tmp_path)
+        pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in shown)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and re.fullmatch(pattern, out), (command, out)
+        commands.append(argv[0])
+    assert commands == ["verify", "search", "tsurf", "invisible"]
 
 
 def test_verify_certified_fixture(capsys):
@@ -483,6 +507,24 @@ def test_generic_search_nonpositive_total_weight_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "total weight" in err
+
+
+@pytest.mark.parametrize("weights", [(2, 2, 3, 5), (Fraction(1, 2), 1, 1, 1)])
+def test_search_other_boundary_weights_exit_1(capsys, monkeypatch, no_pool, weights):
+    """The CY mode takes a boundary of weight 0 or 1 only; any other is
+    refused before an edge is enumerated or a pool is started."""
+
+    def enumerate_edge(*args):
+        raise AssertionError("enumerated an edge")
+
+    monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(searchmod, "_edge_tables", enumerate_edge)
+    message = "cy_step_up mode needs boundary weight 0 or 1"
+    with pytest.raises(ValueError) as refused:
+        searchmod.run_search(searchmod.SearchConfig(weights, boundary=True, max_blowups=4, jobs=2))
+    assert str(refused.value) == message
+    argv = ("--weights", ",".join(map(str, weights)), "--boundary", "--max-blowups", "4", "--jobs", "2")
+    assert run(capsys, "search", *argv) == (1, "", f"error: {message}\n")
 
 
 def test_search_too_deep_a_descent_exits_1(capsys):

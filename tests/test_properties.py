@@ -499,9 +499,15 @@ def white_weights(pattern, w_a, w_b) -> list:
 
 
 def test_one_pass_edge_tables_equal_the_public_enumerators():
+    """``_cy_tables`` against the public enumerators: its CY summaries, its
+    tasks (edge 0's CY patterns under a unit boundary, else every edge's
+    one-step patterns in EDGE_PAIRS order) and its pattern count, under
+    random weights and boundaries, boundary weights other than 0 and 1
+    included."""
     rng = random.Random(314)
     choices = (0, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
     tried = with_steps = 0
+    cases = set()
     while tried < 60:
         weights = [rng.choice(choices) for _ in range(4)]
         if sum(weights) == 0:
@@ -510,10 +516,10 @@ def test_one_pass_edge_tables_equal_the_public_enumerators():
         budget = rng.randint(0, 14)
         config = SearchConfig(weights, boundary=rng.random() < 0.5, max_blowups=budget)
         n = config.total_weight
-        cy, step = _cy_tables(config)
+        cy, tasks, patterns = _cy_tables(config)
+        step = {(i, j): step_edge_enumerate(weights[i], weights[j], n, budget) for i, j in EDGE_PAIRS}
         for i, j in EDGE_PAIRS:
             assert [s.pattern for s in cy[(i, j)]] == cy_edge_enumerate(weights[i], weights[j], n, budget)
-            assert step[(i, j)] == step_edge_enumerate(weights[i], weights[j], n, budget)
             with_steps += bool(step[(i, j)])
             # the split itself: whites at n, plus exactly one at n + 1 on the step side
             for summary in cy[(i, j)]:
@@ -521,7 +527,15 @@ def test_one_pass_edge_tables_equal_the_public_enumerators():
             for pattern in step[(i, j)]:
                 whites = white_weights(pattern, weights[i], weights[j])
                 assert whites.count(n + 1) == 1 and whites.count(n) == len(whites) - 1
+        unit_boundary = config.boundary and weights[0] == 1
+        cases.add(unit_boundary)
+        if unit_boundary:
+            assert tasks == [(0, p) for p in cy_edge_enumerate(weights[0], weights[1], n, budget)]
+        else:
+            assert tasks == [(e, p) for e, pair in enumerate(EDGE_PAIRS) for p in step[pair]]
+        assert patterns == sum(len(cy[pair]) + len(step[pair]) for pair in EDGE_PAIRS)
     assert with_steps > 100
+    assert cases == {False, True}
 
 
 def parent_closed_sets(budget: int) -> list[frozenset]:

@@ -256,32 +256,20 @@ def _fail(args):
     raise ArithmeticError("worker failed")
 
 
-def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch, fresh_pool):
+def test_huge_jobs_runs_inline_on_one_cpu(monkeypatch, no_pool):
     """--jobs is clamped to the CPU count, so one CPU starts no pool at all."""
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("started a process pool")
-
     config = SearchConfig((1, 2, 3, 5), max_blowups=10)
     expected = cy_step_up_search(config).explored
     monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     huge = cy_step_up_search(SearchConfig((1, 2, 3, 5), max_blowups=10, jobs=10**6))
     assert huge.explored == expected
     assert expected["assembled"] > 0
 
 
-def test_generic_search_starts_no_pool(monkeypatch, fresh_pool):
+def test_generic_search_starts_no_pool(no_pool):
     """The generic walk runs in one process whatever --jobs says."""
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("started a process pool")
-
     kwargs = dict(weights=(0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic")
     expected = result_snapshot(generic_search(SearchConfig(jobs=1, **kwargs)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     assert result_snapshot(generic_search(SearchConfig(jobs=4, **kwargs))) == expected
     assert expected[1]["certified"] > 0
 
@@ -305,9 +293,8 @@ def test_failed_pool_is_replaced(monkeypatch, fresh_pool, worker, error):
     monkeypatch.setattr(searchmod.os, "cpu_count", lambda: 2)
     sizes = counting_pool(monkeypatch)
     config = SearchConfig((1, 2, 3, 5), max_blowups=16)
-    cy, step = searchmod._cy_tables(config)
-    tasks = [(e, k) for e in range(6) for k in range(len(step[EDGE_PAIRS[e]]))]
-    shared = (config, cy, step)
+    cy, tasks, _ = searchmod._cy_tables(config)
+    shared = (config, cy)
     inline = searchmod._run_tasks(searchmod._cy_worker, shared, tasks, 1)
     with pytest.raises(error):
         searchmod._run_tasks(worker, shared, tasks, 2)
@@ -655,14 +642,19 @@ def bounded_product(tables, budget):
 def keyed_forms(config) -> set:
     """The forms of a CY search by the rule its count replaced: every
     corner-feasible combination within the budget (each task's pattern
-    times the other five CY tables), keyed by ``canonical_key``."""
-    weights, b_index = config.weights, config.boundary_index
-    cy, step = searchmod._cy_tables(config)
+    times the other five CY tables), keyed by ``canonical_key``.  The tasks
+    follow the rule itself, from the public enumerators: edge 0's CY
+    patterns under a unit boundary, else every edge's one-step patterns."""
+    weights, b_index, n, budget = config.weights, config.boundary_index, config.total_weight, config.max_blowups
+    cy = {(i, j): [edge_summary(p) for p in cy_edge_enumerate(weights[i], weights[j], n, budget)] for i, j in EDGE_PAIRS}
     need = searchmod._corner_need(weights, b_index)
-    if searchmod._cy_case(config) == 3:
+    if config.boundary and weights[0] == 1:
         fixed = [(0, s) for s in cy[EDGE_PAIRS[0]]]
     else:
-        fixed = [(e, edge_summary(p)) for e in range(6) for p in step[EDGE_PAIRS[e]]]
+        fixed = [
+            (e, edge_summary(p)) for e, (i, j) in enumerate(EDGE_PAIRS)
+            for p in step_edge_enumerate(weights[i], weights[j], n, budget)
+        ]
     keys = set()
     for e, first in fixed:
         tables = [[first] if f == e else cy[EDGE_PAIRS[f]] for f in range(6)]
