@@ -23,7 +23,11 @@ and strict weight failures off one integer pass over the whites.
 cached per-edge summaries, without building the graph.  It solves the chain through each path of
 black corners once per tuple of corner stars (``_path_chain``), so a
 search that meets the same few hundred stars on thousands of forms only
-sends each cached tap to its slot.  Its weight tests are homogeneous, so
+sends each cached tap to its slot.  It reads only the black corners and
+the boundary: a white corner that is not the boundary never decides its
+verdict past the mark check, as ``glue`` proves, while ``certify``, the
+reference the searches check the glue against, still computes the
+degree of every white.  Its weight tests are homogeneous, so
 its verdict does not change under a positive scale of the weights, and
 the searches hand it integers.  It and ``edge_summary`` take each
 chain's volume term from the chain core, the third value of
@@ -336,14 +340,12 @@ def certify(graph: "VisibleGraph", weights: Optional[Sequence[Rational]] = None)
         det, nums, _ = singularities._chain_discrepancies(comp.chain.marks, comp.contacts)
         singular.append((comp.chain, det))
         b.update(zip(comp.vertex_ids, zip(nums, repeat(det))))
-        if min(nums) < 0 or max(nums) >= det:
+        if max(nums) >= det:  # every b >= 0 (singularities._chain_discrepancies)
             for v, num in zip(comp.vertex_ids, nums):
                 if num > det:
                     reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} > 1: not log canonical")
                 elif num == det:
                     log_canonical_only = True
-                if num < 0:
-                    reasons.append(f"discrepancy b[{v}] = {Fraction(num, det)} < 0")
 
     vol = Fraction(*_volume_ratio(graph, b))
     eps = None if graph.boundary is None else Fraction(*_degree_ratio(graph, b, graph.boundary, -2))
@@ -401,8 +403,9 @@ class EdgeSummary(NamedTuple):
     edge has no face, and its tails are empty.  The inner runs lie
     between the two faces; their chains, and the degrees of the whites
     between the faces, are settled here.  An inner run meets no boundary,
-    so its discrepancies lie in [0, 1) and pass certify's range check.
-    Pairs are unreduced (numerator, denominator) pairs.
+    so its discrepancies lie in [0, 1) (``singularities._chain_discrepancies``)
+    and pass certify's range check.  Of the tails, ``glue`` solves only the
+    boundary's.  Pairs are unreduced (numerator, denominator) pairs.
     """
 
     pattern: tuple[tuple[int, int], ...]
@@ -482,16 +485,16 @@ _ARMS = tuple(
     tuple((e, end, p[1 - end]) for e, p in enumerate(EDGE_PAIRS) for end in (0, 1) if p[end] == c) for c in range(4)
 )
 
-# accumulator slots of glue: the white corners 0-3, the boundary excess,
-# then the face of end `end` of edge e (one slot for a one-face edge)
-_EXCESS = 4
+# accumulator slots of glue: the boundary excess, then the face of end
+# `end` of edge e (one slot for a one-face edge)
+_EXCESS = 0
 
 # what a bare arm of a black corner reaches, in its star; a faced arm reads its tail
-_LINK, _TO_WHITE, _TO_BOUNDARY = "black", "white", "boundary"
+_BARE, _TO_BOUNDARY = "bare", "boundary"
 
 
 def _face(summary: EdgeSummary, e: int, end: int) -> int:
-    return 5 + 2 * e + (end and not summary.one_face)
+    return 1 + 2 * e + (end and not summary.one_face)
 
 
 def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: Sequence[EdgeSummary]) -> Verdict:
@@ -504,13 +507,56 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
     bare edge, leads straight to the far corner; a faced arm leads
     through its tail to the face.  A black corner's *star* is its mark
     and, per arm in ``_ARMS`` order, its tail (empty when the corner
-    meets the face) or what a bare arm reaches: a black corner, a white
-    corner or the boundary.  The black corners joined by bare edges form
-    paths, a lone black corner a path of one, and each path's chain is
-    solved once per tuple of stars (``_path_chain``); the glue only sends
-    each of its taps to a slot.  A tail whose corner is not black is a
-    chain of its own, solved once per tail and boundary flag
-    (``_tail_chain``).  Both solve through certify's cached chain core.
+    meets the face) or what a bare arm reaches: the boundary or another
+    corner.  The black corners joined by bare edges form paths, a lone
+    black corner a path of one, and each path's chain is solved once per
+    tuple of stars (``_path_chain``); the glue only sends each of its
+    taps to a slot.  Each tail of the boundary is a chain of its own,
+    solved by the cached chain core.
+
+    The glue reads only the black corners and the boundary.  A white
+    corner that is not the boundary reaches it only through the mark
+    check: no slot holds its degree, its tails are not solved, and its
+    weight is not tested.  No verdict changes.  Write P for K + B + the
+    sum of b E over the blacks, pulled back; deg(v) = P.v, a white's
+    degree or the boundary's excess; H for a line; and m_x(v) for v's
+    pair coordinate at corner x, the one the weights use.  P.H reads
+
+    - (F1) -3 + [a boundary] + the sum of b over the black corners, as H
+      meets each corner once and no interior vertex;
+    - (F2) P.x + the sum of m_x(v) deg(v) over the interior whites on
+      x's edges, for each corner x: line x pulls back to x plus the
+      m_x(v) v, and the blacks pair to 0.
+
+    Every b is >= 0, and < 1 on a chain with at most one boundary
+    contact, at an end (``singularities._chain_discrepancies``): so the
+    boundary's tails need no range check.  Every b is <= 1 too, or the
+    discrepancy check fails first.
+
+    *Lemma:* if every interior white has deg >= 0 and c is a white corner
+    that is not the boundary, then deg(c) >= 0, a boundary exists and
+    its excess is <= 0.  Say some corner x is black; F2 at x gives
+    P.H >= 0.  Without a boundary every b is < 1, so F1 asks for a
+    boundary, for b = 1 at both corners other than c and the boundary,
+    and for P.H = 0.  Such a corner y has no bare arm to c.  At b_y = 1
+    row y of the system says the b of y's chain neighbours sum to 2 less
+    y's boundary contact.  A tail vertex has no contact, so a b of 1
+    there would spread along the tail to its face, which is white.  So a
+    sum of 2, or of 1 from a single neighbour, needs black corners over
+    bare arms.  With a bare arm to c, y's other two arms lead to the
+    boundary and to a black corner: a sum of 2 is out, and a sum of 1
+    makes all three arms bare and leaves y no touch.  So c's arms to
+    those corners are faced, each a touch of c, and c, white with two
+    touches, meets the boundary over its third arm: deg(c) >= 0.  F2 at
+    the boundary gives excess <= P.H = 0.  If no corner is black, F1
+    gives P.H <= -2 while F2 at c gives P.H >= deg(c) >= -1: there is no
+    such form.
+
+    So certify's degree check fails exactly when an interior white is
+    negative, and a form with a white corner that is not the boundary
+    never reaches the volume or the weight check.  When its interior
+    whites pass, F2 at c gives deg(c) = 0: each tail of c is all 2s
+    with b = 0, and its taps into the faces would change nothing.
 
     Every weight test is homogeneous in the weights, so the verdict is
     the same under any positive scale: a search hands in integers.
@@ -543,31 +589,24 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
             if s.faces is not None:
                 star.append(s.tails[end])
                 tails += bool(s.tails[end])
-            elif black[x]:
-                star.append(_LINK)
-                link.append(x)
+            elif x == bd:
+                star.append(_TO_BOUNDARY)
             else:
-                star.append(_TO_BOUNDARY if x == bd else _TO_WHITE)
+                star.append(_BARE)
+                if black[x]:
+                    link.append(x)
         if len(link) + tails > 2:
             return Verdict("chain")  # a branch at c
         stars[c] = tuple(star)
         links[c] = link
 
-    num = [-1 if c != bd and not black[c] else 0 for c in range(4)] + [-2] + [0] * 12
-    den = [1] * 17
+    num = [-2] + [0] * 12
+    den = [1] * 13
     for e, s in enumerate(summaries):
         if s.faces is not None:
-            num[5 + 2 * e], den[5 + 2 * e] = s.faces[0]
+            num[1 + 2 * e], den[1 + 2 * e] = s.faces[0]
             if not s.one_face:
-                num[6 + 2 * e], den[6 + 2 * e] = s.faces[1]
-    if bd is not None:  # whites next to the boundary
-        for e, end, x in _ARMS[bd]:
-            s = summaries[e]
-            if s.faces is None:
-                if not black[x]:
-                    num[x] += 1
-            elif not s.tails[end]:
-                num[_face(s, e, end)] += den[_face(s, e, end)]
+                num[2 + 2 * e], den[2 + 2 * e] = s.faces[1]
 
     # each chain's taps as (slot, numerator, determinant): the b there adds to the slot
     taps = []
@@ -590,35 +629,37 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
         bad = bad or not in_range
         volumes.append((vol, det))
         for pos, arm, nb in path_taps:
-            e, end, x = _ARMS[path[pos]][arm]
+            e, end, _ = _ARMS[path[pos]][arm]
             s = summaries[e]
-            taps.append(((_EXCESS if x == bd else x) if s.faces is None else _face(s, e, end), nb, det))
+            taps.append((_EXCESS if s.faces is None else _face(s, e, end), nb, det))
     if len(walked) < len(links):
         return Verdict("chain")  # a cycle through the corners
-
-    # the tails of the corners that are not black are chains of their own,
-    # which meet the corner (the boundary or a white) and the face
-    for c in range(4):
-        if black[c]:
-            continue
-        for e, end, _ in _ARMS[c]:
-            s = summaries[e]
-            if s.tails[end]:
-                in_range, vol, det, inner, outer = _tail_chain(s.tails[end], c == bd)
-                bad = bad or not in_range
-                volumes.append((vol, det))
-                taps.append((_face(s, e, end), outer, det))
-                taps.append((_EXCESS if c == bd else c, inner, det))
-
     if bad:
         return Verdict("discrepancy")
+
+    if bd is not None:
+        # the boundary meets the face of each empty tail; each other tail
+        # is a chain that meets the boundary at its first vertex and its
+        # face at its last
+        for e, end, _ in _ARMS[bd]:
+            s = summaries[e]
+            if s.faces is None:
+                continue
+            tail, face = s.tails[end], _face(s, e, end)
+            if tail:
+                det, nums, vol = singularities._chain_discrepancies(tail, (1,) + (0,) * (len(tail) - 1))
+                volumes.append((vol, det))
+                taps.append((face, nums[-1], det))
+                taps.append((_EXCESS, nums[0], det))
+            else:
+                num[face] += den[face]
     for to, nb, det in taps:
         d = den[to]
         if d == det:
             num[to] += nb
         else:
             num[to], den[to] = num[to] * det + nb * d, d * det
-    if any(s.inner_negative for s in summaries) or any(num[k] < 0 for k in range(17) if k != _EXCESS):
+    if any(s.inner_negative for s in summaries) or min(num[1:]) < 0:
         return Verdict("degree")
     blowups = sum(len(s.pattern) for s in summaries)
     vol_num, vol_den = _ratio_sum(volumes, 9 - blowups)
@@ -631,7 +672,6 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
     n = sum(weights)
     if (
         n <= 0
-        or any(c != bd and not black[c] and weights[c] < n for c in range(4))
         or (bd is not None and weights[bd] < 0)
         or any(_light_whites(s.whites, weights[i], weights[j], n) for s, (i, j) in zip(summaries, EDGE_PAIRS))
     ):
@@ -641,23 +681,14 @@ def glue(weights: Sequence[Rational], boundary_index: Optional[int], summaries: 
 
 
 @lru_cache(maxsize=4096)
-def _tail_chain(run: tuple[int, ...], at_boundary: bool) -> tuple[bool, int, int, int, int]:
-    """The chain of a tail whose corner is not black, read from the corner:
-    whether every discrepancy lies in [0, 1], the volume numerator, the
-    determinant and the discrepancy numerators at the corner and at the face."""
-    det, nums, vol = singularities._chain_discrepancies(run, (int(at_boundary),) + (0,) * (len(run) - 1))
-    return 0 <= min(nums) and max(nums) <= det, vol, det, nums[0], nums[-1]
-
-
-@lru_cache(maxsize=4096)
 def _path_chain(stars: tuple[tuple, ...]) -> tuple[bool, int, int, tuple[tuple[int, int, int], ...]]:
     """The chain through a path of black corners, from their stars in path order.
 
     The chain runs from the first corner's first tail, read outward, through
     the corners, to the last corner's remaining tail; each tail's outer
     vertex meets its face, and a corner meets the face of each empty tail
-    and what each bare arm reaches that is not black.  Returns whether
-    every discrepancy lies in [0, 1], the volume numerator, the determinant
+    and the boundary over a bare arm.  Returns whether every discrepancy
+    is at most 1 (none is below 0), the volume numerator, the determinant
     and the taps as (position in the path, arm, discrepancy numerator).
     """
     marks: list[int] = []
@@ -670,7 +701,7 @@ def _path_chain(stars: tuple[tuple, ...]) -> tuple[bool, int, int, tuple[tuple[i
             arm = tails.pop(0)
             sources.append((len(marks), pos, arm))
             marks.extend(arms[arm][::-1])
-        sources.extend((len(marks), pos, arm) for arm, a in enumerate(arms) if a in ((), _TO_WHITE, _TO_BOUNDARY))
+        sources.extend((len(marks), pos, arm) for arm, a in enumerate(arms) if a in ((), _TO_BOUNDARY))
         if _TO_BOUNDARY in arms:
             at_boundary.add(len(marks))
         marks.append(mark)
@@ -679,7 +710,7 @@ def _path_chain(stars: tuple[tuple, ...]) -> tuple[bool, int, int, tuple[tuple[i
             sources.append((len(marks) - 1, pos, tails[0]))
     contacts = tuple(int(k in at_boundary) for k in range(len(marks)))
     det, nums, vol = singularities._chain_discrepancies(tuple(marks), contacts)
-    return 0 <= min(nums) and max(nums) <= det, vol, det, tuple((pos, arm, nums[k]) for k, pos, arm in sources)
+    return max(nums) <= det, vol, det, tuple((pos, arm, nums[k]) for k, pos, arm in sources)
 
 
 @lru_cache(maxsize=4096)

@@ -366,7 +366,9 @@ def _run_tasks(worker, shared, tasks: list, jobs: int) -> tuple[int, Certified]:
 
 def _corner_need(weights, boundary_index: Optional[int]) -> list[int]:
     """The touches each corner needs, its mark plus one: none for the boundary,
-    2 for a corner weighing n or more, which may stay white, else 3."""
+    2 for a corner weighing n or more, which may stay white, else 3.  A form
+    whose corner stays white is counted, but it never certifies: it fails
+    the degree check or the boundary excess (``certify.glue``)."""
     n = sum(weights)
     return [0 if c == boundary_index else 2 if weights[c] >= n else 3 for c in range(4)]
 

@@ -208,6 +208,20 @@ def _chain_discrepancies(
     ``contacts[j]`` is 1 when the j-th vertex meets the boundary, else 0;
     the j-th discrepancy is ``nums[j] / det`` and the chain's volume term
     is ``vol / det``.
+
+    Bounds, which ``certify.glue`` relies on.  z = 1 - b solves M z = u,
+    with u as in the module docstring.  So:
+
+    - b = M^-1 (a - 2 + contacts) >= 0, as M^-1 is positive and every
+      mark is at least 2: no numerator is negative;
+    - b < 1 on a chain with at most one contact, when that contact is at
+      an end: then u >= 0 and u != 0, so z > 0.  Every tail and inner
+      run of an edge is such a chain;
+    - row j read at b_j = 1 says the b of j's chain neighbours sum to
+      2 - contacts[j].  So when every b is at most 1, a vertex with b = 1
+      and no contact has two chain neighbours, both with b = 1.
+
+    With two contacts, or one inside the chain, b may exceed 1.
     """
     k = len(marks)
     left = _continuants(marks)

@@ -12,8 +12,12 @@ per-edge enumerators, and the glue's verdict from edge summaries with
 certify's one-pass near-CY tag and weight reasons with a white-by-white
 Fraction reference, the one walk per black chain with a breadth-first
 search, and the generic walk's mark deficit from edge summaries
-with the same deficit read vertex by vertex off the built graph.  Graph
-files must round-trip, and damaged ones must fail with FormatError alone.
+with the same deficit read vertex by vertex off the built graph.  The
+facts by which the glue leaves white corners out are checked on built
+graphs: P.H read two ways, and the lemma that a white corner other than
+the boundary lets no form past both the degree check and the boundary
+excess.  Graph files must round-trip, and damaged ones must fail with
+FormatError alone.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ from fourlines.certify import (
     check_weights,
     classify_near_cy,
     edge_summary,
+    epsilon1,
     find_ample_weights,
     glue,
+    kc_degree,
 )
 from fourlines.search import SearchConfig, _cy_tables, cy_edge_enumerate, run_search, step_edge_enumerate
 from fourlines.singularities import (
@@ -456,9 +462,17 @@ def test_chain_walk_equals_a_breadth_first_reference():
 # -- discrepancies -----------------------------------------------------------
 
 
+def at_most_one_end_contact(contacts) -> bool:
+    """No boundary contact, or one at an end of the chain: its b stay below 1."""
+    return sum(contacts) <= 1 and not any(contacts[1:-1])
+
+
 def test_integer_discrepancies_equal_fraction_solve_on_random_chains():
+    """The chain core against Gaussian elimination, and its bounds: every b
+    is >= 0, and < 1 with at most one contact at an end; with more
+    contacts some b exceed 1."""
     rng = random.Random(1618)
-    interior_contacts = 0
+    interior_contacts = below_one = above_one = 0
     for _ in range(1500):
         k = rng.randint(1, 9)
         marks = [rng.choice((2, 2, 2, 3, 4, 5, 9)) for _ in range(k)]
@@ -468,7 +482,14 @@ def test_integer_discrepancies_equal_fraction_solve_on_random_chains():
         b = fraction_solve(marks, contacts)
         assert [Fraction(num, det) for num in nums] == b
         assert Fraction(vol, det) == sum(x * (a - 2) for x, a in zip(b, marks))
+        assert min(nums) >= 0
+        if at_most_one_end_contact(contacts):
+            assert max(nums) < det
+            below_one += 1
+        else:
+            above_one += max(nums) > det
     assert interior_contacts > 300
+    assert below_one > 300 and above_one > 0
 
 
 def test_integer_discrepancies_equal_fraction_solve_on_graphs():
@@ -481,6 +502,9 @@ def test_integer_discrepancies_equal_fraction_solve_on_graphs():
             ids = chain.vertex_ids
             contacts = [int(g.boundary is not None and g.adjacent(v, g.boundary)) for v in ids]
             assert [b[v] for v in ids] == fraction_solve(chain.marks, contacts)
+            assert min(b[v] for v in ids) >= 0
+            if at_most_one_end_contact(contacts):
+                assert max(b[v] for v in ids) < 1
             if contacts[0] or contacts[-1]:
                 touched["end"] += 1
             if any(contacts[1:-1]):
@@ -649,8 +673,8 @@ def test_glue_agrees_with_certify():
     """The glue's verdict, first failing check, volume and rank equal
     certify's on the built graph.  The cases: every combination of the
     budget-22 (1,2,3,5) search and of the 56 boundary searches at budget
-    12; every graph of the generic (0,1,1,1) walk at budget 7, the only
-    ones with white corners; every combination of the (1,1,1,2) search
+    12; every graph of the generic (0,1,1,1) walk at budget 7, two thirds of
+    them with a white corner; every combination of the (1,1,1,2) search
     at budget 16, where some paths of black corners repeat a star, and of
     the (1,1,2,3) boundary search at budget 14; all of these again under
     random weights and boundaries; and random insertion graphs.  A false
@@ -716,6 +740,62 @@ def test_glue_is_scale_invariant():
         for k in (rng.randint(2, 1000), Fraction(rng.randint(1, 99), rng.randint(2, 99))):
             assert glue([k * w for w in weights], boundary_index, summaries) == verdict, (weights, k, patterns)
     assert all(verdicts.values()), verdicts
+
+
+def test_a_white_corner_decides_no_verdict_past_the_mark_check():
+    """The facts behind the glue's white corners, on every form of the
+    generic (0,1,1,1) boundary walk at budget 7 and on random insertion
+    graphs, each that passes the mark and chain checks with every b <= 1.
+    P.H read off the black corners (F1) equals P.H read along each
+    corner's line (F2).  When every interior white has degree >= 0, every
+    white corner has too, a boundary exists and its excess is <= 0.  No
+    certified graph has a white corner other than the boundary.  Such
+    forms pass the degree check and fail at the boundary excess, as does
+    the graph below, every degree 0 and its excess 0."""
+    corners = ("L0", "L1", "L2", "L3")
+    ladder = ((1, 1), (1, 2), (1, 3))
+    explicit = VisibleGraph.from_edge_content(corners, (0, 1, 1, 1), "L0", {(1, 2): ladder, (1, 3): ladder})
+    b = solve_discrepancies(explicit)
+    assert explicit.mark("L1") == 1
+    assert {kc_degree(explicit, b, v) for v in explicit.whites()} == {0} == {epsilon1(explicit, b)}
+    assert first_failed(certify(explicit)) == "boundary_excess"
+
+    walk = glue_calls(SearchConfig((0, 1, 1, 1), boundary=True, max_blowups=7, mode="generic"))
+    graphs = [
+        VisibleGraph.from_edge_content(corners, weights, f"L{boundary_index}", dict(zip(EDGE_PAIRS, patterns)))
+        for weights, boundary_index, patterns in walk
+    ]
+    assert explicit.canonical_form() in {g.canonical_form() for g in graphs}
+    graphs += random_graphs(seed=9155, count=1500)
+    checked = passing = certified = 0
+    for g in graphs:
+        bd = g.boundary
+        if any(v != bd and g.mark(v) <= 0 for v in g.vertices) or check_log_terminal(g) is not None:
+            continue
+        b = solve_discrepancies(g)
+        if max(b.values(), default=0) > 1:
+            continue
+        checked += 1
+        deg = {v: kc_degree(g, b, v) for v in g.whites()}
+        if bd is not None:
+            deg[bd] = epsilon1(g, b)
+        ph = -3 + (bd is not None) + sum(b.get(x, 0) for x in g.corners)
+        for c, x in enumerate(g.corners):
+            along = deg.get(x, 0)  # a black corner pairs to 0
+            for v in g.whites():
+                edge = g.edge_of(v)
+                if edge is not None and c in edge:
+                    along += g.fraction(v)[edge.index(c)] * deg[v]
+            assert along == ph, (g.canonical_form(), x)
+        white_corners = [x for x in g.corners if x != bd and g.mark(x) == 1]
+        if white_corners and all(deg[v] >= 0 for v in g.whites() if not g.is_corner(v)):
+            passing += 1
+            assert bd is not None and deg[bd] <= 0
+            assert min(deg[x] for x in white_corners) >= 0
+        if certify(g).certified:
+            certified += 1
+            assert not white_corners
+    assert checked > 500 and passing > 0 and certified > 0
 
 
 def reference_weight_reasons(g: VisibleGraph, strict: bool) -> list[str]:
