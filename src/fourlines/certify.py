@@ -16,7 +16,8 @@ walk of the black subgraph (``singularities._chain_components``) yields
 each chain, and the cached chain core (``_chain_discrepancies``) solves
 it.  ``certify`` keeps each discrepancy as the core's (numerator,
 determinant) pair; ``kc_degree``, ``volume`` and ``epsilon1`` turn their
-Fraction maps into pairs once.  A Fraction is built only for a report
+Fraction maps into pairs once, after ``lattice._check_discrepancies``
+finds them indexed by exactly the blacks.  A Fraction is built only for a report
 field or a reason, and ``certify`` reads its near-CY tag and its loose
 and strict weight failures off one integer pass over the whites.
 ``glue`` reaches certify's verdict on a graph given by edge content from
@@ -46,7 +47,7 @@ from itertools import groupby, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import lattice, singularities
-from .graph import EDGE_PAIRS, _orientations
+from .graph import EDGE_PAIRS, _orientations, _path_order
 from .singularities import Chain, NotChainError
 
 if TYPE_CHECKING:
@@ -142,8 +143,10 @@ class SurfaceReport:
 Pairs = Mapping[str, tuple[int, int]]
 
 
-def _pairs(b: Mapping[str, Fraction]) -> dict[str, tuple[int, int]]:
-    """A discrepancy map of Fractions as pairs."""
+def _pairs(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> dict[str, tuple[int, int]]:
+    """A discrepancy map of Fractions as pairs; raises ValueError unless it
+    holds exactly the black vertices (``lattice._check_discrepancies``)."""
+    lattice._check_discrepancies(graph, b)
     return {v: (x.numerator, x.denominator) for v, x in b.items()}
 
 
@@ -184,10 +187,11 @@ def _volume_ratio(graph: "VisibleGraph", b: Pairs) -> tuple[int, int]:
 
 
 def kc_degree(graph: "VisibleGraph", b: Mapping[str, Fraction], white: str) -> Fraction:
-    """Degree of the contracted (log) canonical divisor on a white curve."""
+    """Degree of the contracted (log) canonical divisor on a white curve;
+    ``b`` must hold exactly the black vertices."""
     if graph.color(white) != "white":
         raise ValueError(f"{white!r} is not a white vertex")
-    return Fraction(*_kc_ratio(graph, _pairs(b), white))
+    return Fraction(*_kc_ratio(graph, _pairs(graph, b), white))
 
 
 def volume(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
@@ -197,7 +201,7 @@ def volume(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
     K.E = mark - 2 for every visible curve.  ``b`` must hold exactly the
     black vertices.
     """
-    return Fraction(*_volume_ratio(graph, _pairs(b)))
+    return Fraction(*_volume_ratio(graph, _pairs(graph, b)))
 
 
 def volume_lattice(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
@@ -230,8 +234,9 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
     """``classify_near_cy`` and ``check_weights`` loose and strict, from one
     pass over the whites.
 
-    The pass weighs each white in integers, the corner weights times their
-    common denominator, and compares it with n so scaled; a Fraction is
+    The pass weighs each white in integers, its weight times the common
+    denominator of the corner weights (``VisibleGraph.scaled_weight``), and
+    compares it with n so scaled; a Fraction is
     built only for a white off weight n whose weight a reason prints or
     whose tag needs n + 1.
     """
@@ -239,16 +244,11 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
     sn = str(n)
     scale, ints = graph.scaled_weights()
     total = sum(ints)
-    corners, bd = graph.corners, graph.boundary
+    bd = graph.boundary
     off = []  # the whites off weight n, with their scaled weights
     loose, strict = [], []
     for v in graph.whites():
-        edge = graph.edge_of(v)
-        if edge is None:
-            w = ints[corners.index(v)]
-        else:
-            (m1, m2), (i, j) = graph.fraction(v), edge
-            w = m1 * ints[i] + m2 * ints[j]
+        w = graph.scaled_weight(v)
         if w == total:
             strict.append(f"white {v} has weight {sn}, needs > {sn}")
             continue
@@ -257,7 +257,7 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
             wv = graph.weight(v)
             loose.append(f"white {v} has weight {wv}, needs >= {sn}")
             strict.append(f"white {v} has weight {wv}, needs > {sn}")
-    w0 = None if bd is None else ints[corners.index(bd)]
+    w0 = None if bd is None else graph.scaled_weight(bd)
     if total <= 0:
         reason = f"total weight {sn} must be positive"
         loose, strict = [reason], [reason]
@@ -278,10 +278,11 @@ def _weight_pass(graph: "VisibleGraph") -> tuple[NearCY, list[str], list[str]]:
 
 
 def epsilon1(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> Fraction:
-    """Boundary excess: -2 plus the b_i over the boundary's black neighbours."""
+    """Boundary excess: -2 plus the b_i over the boundary's black neighbours;
+    ``b`` must hold exactly the black vertices."""
     if graph.boundary is None:
         raise ValueError("graph has no boundary")
-    return Fraction(*_degree_ratio(graph, _pairs(b), graph.boundary, -2))
+    return Fraction(*_degree_ratio(graph, _pairs(graph, b), graph.boundary, -2))
 
 
 def delta1(graph: "VisibleGraph", near: Optional[NearCY] = None) -> Optional[Fraction]:
@@ -440,7 +441,7 @@ def _touches(pattern: tuple[tuple[int, int], ...]) -> tuple[int, int]:
 def edge_summary(pattern: tuple[tuple[int, int], ...]) -> EdgeSummary:
     """Summary of one edge pattern, which must hold the creation parents
     of each of its pairs (as every pattern of a graph does)."""
-    path = sorted(pattern, key=lambda p: Fraction(p[1], p[0]))
+    path = sorted(pattern, key=_path_order)
     ends = [(1, 0), *path, (0, 1)]
     # the neighbours of q on the path add up to mark(q) * q (Hirzebruch-Jung)
     marks = [(ends[k - 1][0] + ends[k + 1][0]) // ends[k][0] for k in range(1, len(ends) - 1)]

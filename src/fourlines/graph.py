@@ -27,9 +27,14 @@ A search deduplicates before it builds, and
 ``VisibleGraph.from_canonical_key`` builds a key.
 
 A graph's one record is its insertion history, with the marks, the
-adjacency and each interior vertex's edge and pair kept in step to check
-and place the next insertion; the vertex order, parents, children and
-weights are read from those.
+adjacency and one place table (each interior vertex's edge and pair)
+kept in step to check and place the next insertion; the vertex order,
+parents and children are read from the history, and the colour classes
+from the marks once the last insertion is applied.  Each fact about a
+vertex is stated once: ``scaled_weight`` is its weight times the corner
+weights' common denominator, which ``weight`` and certify's weight pass
+both read, and ``_path_order`` orders an edge's pairs along its path for
+``edge_chains`` and ``certify.edge_summary``.
 
 An insertion changes only its own edge and that edge's two corners, so
 a graph built from edge content is merged from six per-edge pieces cached
@@ -125,9 +130,9 @@ class VisibleGraph:
         self._mark = {c: -1 for c in corners}
         self._total_weight = sum(weights, Fraction(0))
         self._adj = {c: frozenset(corners) - {c} for c in corners}
-        # interior bookkeeping: edge (pair of corner indexes) and (m1, m2)
-        self._edge = {}
-        self._frac = {}
+        # each interior vertex's place: its edge (pair of corner indexes)
+        # and its multiplicity pair (m1, m2)
+        self._place = {}
         # the insertions applied so far; _seal publishes them as ``history``
         self._history: list[Insertion] = []
 
@@ -154,26 +159,23 @@ class VisibleGraph:
 
         The result equals that replay, merged from the cached
         ``_edge_piece`` of each edge into a copy of the cached graph of the
-        four corners alone: the piece's insertions and tables are copied in
-        EDGE_PAIRS order and each corner gains its pieces' touch counts and
-        edge neighbours.  A key of ``content`` outside EDGE_PAIRS raises
-        GraphError.
+        four corners alone: the piece's insertions, marks, adjacency and
+        place table are copied in EDGE_PAIRS order and each corner gains its
+        pieces' touch counts and edge neighbours; ``_seal`` then finds the
+        colour classes as for any graph.  A key of ``content`` outside
+        EDGE_PAIRS raises GraphError.
         """
         g = _corner_graph(cls, tuple(corners), tuple(weights), boundary)._copy()
         corners, mark, history = g.corners, g._mark, g._history
         near = {c: [] for c in corners}
-        whites, blacks = [], []
         for (i, j), pattern in zip(EDGE_PAIRS, _edge_patterns(content)):
             ci, cj = corners[i], corners[j]
             piece = _edge_piece(i, j, ci, cj, tuple(pattern))
             if piece.history:  # a bare edge adds no vertex
                 history += piece.history
-                whites += piece.whites
-                blacks += piece.blacks
                 mark.update(piece.marks)
                 g._adj.update(piece.adj)
-                g._edge.update(piece.edge)
-                g._frac.update(piece.frac)
+                g._place.update(piece.place)
             (ti, ei), (tj, ej) = piece.ends
             mark[ci] += ti
             mark[cj] += tj
@@ -183,10 +185,7 @@ class VisibleGraph:
             raise GraphError(f"duplicate vertex id among the corners {corners}")
         for c, neighbours in near.items():
             g._adj[c] = frozenset(neighbours)
-        # an interior vertex's colour depends on its own edge alone, so the
-        # pieces carry their colour classes and only the corners are sorted here
-        corner_whites, corner_blacks = _colour_classes(corners, mark, g.boundary)
-        g._seal((corner_whites + tuple(whites), corner_blacks + tuple(blacks)))
+        g._seal()
         return g
 
     # -- construction ----------------------------------------------------
@@ -203,10 +202,11 @@ class VisibleGraph:
 
         # adjacent curves lie on one edge path: an interior one names the
         # edge, and a corner is its first end (1, 0) or its second (0, 1)
-        cindex, frac = self._cindex, self._frac
-        edge = self._edge[new] = self._edge.get(a) or self._edge.get(b) or tuple(sorted((cindex[a], cindex[b])))
-        (a1, a2), (b1, b2) = (frac.get(v) or ((1, 0) if cindex[v] == edge[0] else (0, 1)) for v in (a, b))
-        frac[new] = (a1 + b1, a2 + b2)
+        cindex, place = self._cindex, self._place
+        here = place.get(a) or place.get(b)
+        edge = here[0] if here else tuple(sorted((cindex[a], cindex[b])))
+        (a1, a2), (b1, b2) = (place[v][1] if v in place else (1, 0) if cindex[v] == edge[0] else (0, 1) for v in (a, b))
+        place[new] = (edge, (a1 + b1, a2 + b2))
 
         self._mark[a] += 1
         self._mark[b] += 1
@@ -219,14 +219,16 @@ class VisibleGraph:
         adj[new] = frozenset((a, b))
         self._history.append(ins)
 
-    def _seal(self, classes: Optional[tuple[tuple, tuple]] = None) -> None:
-        """Publish the history, the vertex order and the colour classes once
-        the last insertion is applied; ``classes``, when given, must be the
-        whites and the blacks that ``_colour_classes`` would find.  The
-        working list goes, and so does a family map copied from a parent."""
+    def _seal(self) -> None:
+        """Publish the history, the vertex order and the colour classes, by
+        the rule of color() in vertex order, once the last insertion is
+        applied.  The working list goes, and so does a family map copied
+        from a parent."""
         self.history: tuple[Insertion, ...] = tuple(self.__dict__.pop("_history"))
         self.vertices: tuple[str, ...] = self.corners + tuple(ins.new_id for ins in self.history)
-        self._whites, self._blacks = classes or _colour_classes(self.vertices, self._mark, self.boundary)
+        mark, boundary = self._mark, self.boundary
+        self._whites = tuple(v for v in self.vertices if mark[v] == 1 and v != boundary)
+        self._blacks = tuple(v for v in self.vertices if mark[v] >= 2 and v != boundary)
         self.__dict__.pop("_family", None)
 
     def _copy(self) -> "VisibleGraph":
@@ -235,7 +237,7 @@ class VisibleGraph:
         g.__dict__.update(self.__dict__)
         # own copies of the tables _apply changes; it never changes the
         # values they hold in place, so those stay shared
-        for name in ("_mark", "_adj", "_edge", "_frac"):
+        for name in ("_mark", "_adj", "_place"):
             setattr(g, name, dict(getattr(self, name)))
         g._history = list(self.history)
         return g
@@ -268,17 +270,19 @@ class VisibleGraph:
         return self._mark[v]
 
     def weight(self, v: str) -> Fraction:
+        return Fraction(self.scaled_weight(v), self._scaled[0])
+
+    def scaled_weight(self, v: str) -> int:
+        """The weight of ``v`` times the common denominator of the corner
+        weights (``scaled_weights``)."""
+        ints = self._scaled[1]
         i = self._cindex.get(v)
         if i is not None:
-            return self.initial_weights[i]
+            return ints[i]
         # m1 w(a) + m2 w(b) over the edge a-b, which is the sum of the
         # weights of the two curves whose intersection made v
-        (i, j), (m1, m2) = self._edge[v], self._frac[v]
-        a, b = self.initial_weights[i], self.initial_weights[j]
-        return Fraction(
-            m1 * a.numerator * b.denominator + m2 * b.numerator * a.denominator,
-            a.denominator * b.denominator,
-        )
+        (i, j), (m1, m2) = self._place[v]
+        return m1 * ints[i] + m2 * ints[j]
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]
@@ -288,11 +292,13 @@ class VisibleGraph:
 
     def edge_of(self, v: str) -> Optional[tuple[int, int]]:
         """Corner-index pair of the edge an interior vertex lies on."""
-        return self._edge.get(v)
+        place = self._place.get(v)
+        return place and place[0]
 
     def fraction(self, v: str) -> Optional[tuple[int, int]]:
         """Stern-Brocot multiplicity pair of an interior vertex."""
-        return self._frac.get(v)
+        place = self._place.get(v)
+        return place and place[1]
 
     @cached_property
     def _family(self) -> dict[str, tuple]:
@@ -341,18 +347,13 @@ class VisibleGraph:
         """Interior vertices of each edge, ordered along the path.
 
         The order runs from the lower-index corner of the pair to the
-        higher one.  A vertex with multiplicity pair (m1, m2) sits closer
-        to the first corner the larger m1/m2 is.
+        higher one, by ``_path_order`` of the multiplicity pairs.
         """
+        place = self._place
         chains: dict[tuple[int, int], list] = {pair: [] for pair in EDGE_PAIRS}
-        for v, edge in self._edge.items():
+        for v, (edge, _) in place.items():
             chains[edge].append(v)
-        out = {}
-        for pair, vs in chains.items():
-            # interior pairs are mediants of (1, 0) and (0, 1): m1, m2 >= 1
-            vs.sort(key=lambda v: Fraction(self._frac[v][1], self._frac[v][0]))
-            out[pair] = tuple(vs)
-        return out
+        return {pair: tuple(sorted(vs, key=lambda v: _path_order(place[v][1]))) for pair, vs in chains.items()}
 
     def adjacent_pairs(self) -> Iterator[tuple[str, str]]:
         """All adjacent pairs, edge by edge along each path; deterministic."""
@@ -370,6 +371,8 @@ class VisibleGraph:
         # the tables must hold exactly the vertices the history names
         if not self._mark.keys() == self._adj.keys() == set(self.vertices):
             raise GraphError("vertex set mismatch")
+        if self._place.keys() != set(self.vertices[4:]):
+            raise GraphError("the place table does not hold exactly the interior vertices")
         edges = sum(len(self._adj[v]) for v in self.vertices)
         if edges != 2 * (6 + n):
             raise GraphError("edge count mismatch")
@@ -385,8 +388,8 @@ class VisibleGraph:
     def canonical_key(self) -> tuple[tuple, tuple]:
         """``canonical_key`` of this graph's weights, boundary and edge content."""
         content: dict[tuple[int, int], list] = {pair: [] for pair in EDGE_PAIRS}
-        for v, edge in self._edge.items():
-            content[edge].append(self._frac[v])
+        for edge, pair in self._place.values():
+            content[edge].append(pair)
         return canonical_key(self.initial_weights, self._cindex.get(self.boundary), content)
 
     def canonical_form(self) -> str:
@@ -450,6 +453,13 @@ def _scaled_weights(weights: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     share are cached on integers."""
     scale = lcm(*(w.denominator for w in weights))
     return scale, tuple(w.numerator * (scale // w.denominator) for w in weights)
+
+
+def _path_order(pair: tuple[int, int]) -> Fraction:
+    """Sort key of multiplicity pairs along their edge's path, from its first
+    corner: (m1, m2) sits closer to it the larger m1/m2 is.  Interior pairs
+    are mediants of (1, 0) and (0, 1), so m1, m2 >= 1."""
+    return Fraction(pair[1], pair[0])
 
 
 def _creation_order(pair: tuple[int, int]) -> tuple[int, int]:
@@ -529,19 +539,17 @@ def _corner_graph(cls: type, corners: tuple, weights: tuple, boundary: Optional[
 
 
 class _Piece(NamedTuple):
-    """What the pairs of one edge add to a graph built from edge content."""
+    """What the pairs of one edge add to a graph built from edge content:
+    its insertions and its interior vertices' tables, but no colour
+    classes, which the built graph's ``_seal`` finds."""
 
     history: tuple[Insertion, ...]
     #: the interior vertices' tables; no other edge changes them
     marks: dict
     adj: dict
-    edge: dict
-    frac: dict
+    place: dict
     #: per corner, first and second: its touch count and its neighbour on the edge
     ends: tuple[tuple[int, str], tuple[int, str]]
-    #: the interior whites and blacks in creation order
-    whites: tuple[str, ...]
-    blacks: tuple[str, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -554,7 +562,7 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
     ints, tuples and frozensets, which ``_apply`` replaces and never mutates.
     """
     p = object.__new__(VisibleGraph)
-    p._cindex, p._mark, p._edge, p._frac, p._history = {ci: i, cj: j}, {ci: 0, cj: 0}, {}, {}, []
+    p._cindex, p._mark, p._place, p._history = {ci: i, cj: j}, {ci: 0, cj: 0}, {}, []
     p._adj = {ci: frozenset((cj,)), cj: frozenset((ci,))}
     ids = {(1, 0): ci, (0, 1): cj}
     for m1, m2 in sorted(pattern, key=_creation_order):
@@ -566,8 +574,7 @@ def _edge_piece(i: int, j: int, ci: str, cj: str, pattern: tuple[tuple[int, int]
         ids[(m1, m2)] = f"E{i}{j}_{m1}_{m2}"
         p._apply(Insertion(ids[(m1, m2)], ids[p1], ids[p2]))
     ends = tuple((p._mark.pop(c), *p._adj.pop(c)) for c in (ci, cj))
-    new = [ins.new_id for ins in p._history]
-    return _Piece(tuple(p._history), p._mark, p._adj, p._edge, p._frac, ends, *_colour_classes(new, p._mark, None))
+    return _Piece(tuple(p._history), p._mark, p._adj, p._place, ends)
 
 
 def _edge_patterns(content: Mapping[tuple[int, int], Sequence[tuple[int, int]]]) -> list[Sequence[tuple[int, int]]]:
@@ -577,14 +584,6 @@ def _edge_patterns(content: Mapping[tuple[int, int], Sequence[tuple[int, int]]])
     if unknown:
         raise GraphError(f"edge content key {min(unknown, key=repr)!r} is not one of {EDGE_PAIRS}")
     return [content.get(pair, ()) for pair in EDGE_PAIRS]
-
-
-def _colour_classes(vertices: Sequence[str], mark: Mapping[str, int], boundary: Optional[str]) -> tuple[tuple, tuple]:
-    """The whites and the blacks among ``vertices``, by the rule of color()."""
-    return (
-        tuple(v for v in vertices if mark[v] == 1 and v != boundary),
-        tuple(v for v in vertices if mark[v] >= 2 and v != boundary),
-    )
 
 
 def _stern_brocot_parents(m1: int, m2: int) -> tuple[tuple[int, int], tuple[int, int]]:

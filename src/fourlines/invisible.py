@@ -85,15 +85,13 @@ def pullback_coefficients(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> d
     n = graph.total_weight
     if n == 0:
         raise ValueError("total corner weight is zero; no pullback normalization")
-    blacks = set(graph.blacks())
-    if set(b) != blacks:
-        raise ValueError("discrepancy vector must be indexed by exactly the black vertices")
+    lattice._check_discrepancies(graph, b)
     coeffs: dict[str, Fraction] = {}
     for v in graph.vertices:
         c = graph.weight(v) / n - 1
         if v == graph.boundary:
             c += 1
-        if v in blacks:
+        if v in b:
             c += b[v]
         coeffs[v] = c
     return coeffs

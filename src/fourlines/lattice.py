@@ -143,6 +143,15 @@ def pairing(c1: DivisorClass, c2: DivisorClass) -> Fraction:
     return total
 
 
+def _check_discrepancies(graph: "VisibleGraph", b: Mapping[str, Rational]) -> None:
+    """Raise ValueError unless the discrepancy map ``b`` is indexed by
+    exactly the black vertices of ``graph``: every function that takes one
+    checks it here, since a missing black or an extra vertex changes every
+    sum without an error."""
+    if b.keys() != set(graph.blacks()):
+        raise ValueError("discrepancy vector must be indexed by exactly the black vertices")
+
+
 def log_pullback(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> DivisorClass:
     """Class of K plus boundary plus the discrepancy part over the blacks.
 
@@ -150,7 +159,6 @@ def log_pullback(graph: "VisibleGraph", b: Mapping[str, Fraction]) -> DivisorCla
     pairs to zero with every black vertex class, and with the boundary
     class it pairs to the boundary excess.
     """
-    if set(b) != set(graph.blacks()):
-        raise ValueError("discrepancy vector must be indexed by exactly the black vertices")
+    _check_discrepancies(graph, b)
     coeffs = dict(b) if graph.boundary is None else {graph.boundary: 1, **b}
     return canonical_class(graph) + combination(graph, coeffs)

@@ -22,6 +22,7 @@ from fourlines.certify import (
     volume_lattice,
 )
 from fourlines.graph import new_base
+from fourlines.invisible import crepant_check, pullback_coefficients
 from fourlines.lattice import DivisorClass, class_of, log_pullback, pairing
 from fourlines.singularities import solve_discrepancies
 
@@ -59,6 +60,32 @@ def test_p78_kc_degrees(load_graph):
     assert kc_degree(g, b, "H7") == Fraction(1, 13)
     with pytest.raises(ValueError):
         kc_degree(g, b, "C")  # black, not white
+
+
+def test_every_discrepancy_map_reader_refuses_a_wrong_index_set(load_graph):
+    """Each function that takes a discrepancy map raises ValueError unless it
+    holds exactly the blacks; a map without them, with a white as well or
+    short of one black would change every sum without a word."""
+    g = load_graph("p78")
+    b = solve_discrepancies(g)
+    readers = (
+        lambda m: volume(g, m),
+        lambda m: volume_lattice(g, m),
+        lambda m: kc_degree(g, m, "F7"),
+        lambda m: epsilon1(g, m),
+        lambda m: log_pullback(g, m),
+        lambda m: pullback_coefficients(g, m),
+        lambda m: crepant_check(g, m, "F7"),
+    )
+    assert volume(g, b) == volume_lattice(g, b) == Fraction(1, 78)
+    assert kc_degree(g, b, "F7") == Fraction(4, 39)
+    assert epsilon1(g, b) == Fraction(7, 78)
+    assert not crepant_check(g, b, "F7")
+    for read in readers:
+        read(b)
+        for wrong in ({}, {**b, "F7": Fraction(5)}, {v: x for v, x in b.items() if v != "C"}):
+            with pytest.raises(ValueError, match="exactly the black vertices"):
+                read(wrong)
 
 
 def test_p462a_report(load_graph):

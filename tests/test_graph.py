@@ -88,6 +88,19 @@ def test_random_bookkeeping_invariants():
         g.check_bookkeeping()
 
 
+def test_bookkeeping_sees_a_place_table_out_of_step():
+    g = new_base([1, 2, 3, 5]).insert("L0", "L1", "x").insert("x", "L1", "y")
+    g.check_bookkeeping()
+    missing = g.insert("L2", "L3", "z")
+    del missing._place["z"]
+    with pytest.raises(GraphError, match="place table"):
+        missing.check_bookkeeping()
+    extra = g.insert("L2", "L3", "z")
+    extra._place["L2"] = ((2, 3), (1, 0))
+    with pytest.raises(GraphError, match="place table"):
+        extra.check_bookkeeping()
+
+
 def test_interior_weights_are_coprime_combinations():
     rng = random.Random(7)
     for _ in range(100):

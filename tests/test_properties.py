@@ -4,7 +4,8 @@ file format, the discrepancy core, the CY edge tables and the glue.
 Each fast path is compared with a slow reference: the canonical key with
 the minimum over all 24 corner relabelings, the copying ``insert`` and
 the piece-merging ``from_edge_content`` with a replay of the whole
-history, the closed-form Stern-Brocot parents with a descent of the
+history, a vertex's scaled weight with its weight and the blowup rule,
+the closed-form Stern-Brocot parents with a descent of the
 tree, the integer continuant discrepancies with Fraction Gaussian
 elimination, the one-pass edge tables of a CY search with the public
 per-edge enumerators, and the glue's verdict from edge summaries with
@@ -120,8 +121,8 @@ def state(g: VisibleGraph) -> dict:
         "whites": g.whites(),
         "blacks": g.blacks(),
         "per_vertex": {
-            v: (g.mark(v), g.weight(v), g.neighbors(v), g.edge_of(v), g.fraction(v),
-                g.parents(v), g.children(v), g.color(v))
+            v: (g.mark(v), g.weight(v), g.scaled_weight(v), g.neighbors(v), g.edge_of(v),
+                g.fraction(v), g.parents(v), g.children(v), g.color(v))
             for v in g.vertices
         },
     }
@@ -346,6 +347,27 @@ def test_insert_copy_equals_history_replay_and_leaves_parent_alone():
             h.insert(a, "new", "newer")
             assert state(h) == state(replay)
         assert state(g) == before
+
+
+def test_scaled_weight_is_the_weight_and_follows_the_blowup_rule():
+    """Under fractional corner weights, weight(v) is scaled_weight(v) over the
+    common denominator, and an inserted vertex's scaled weight is the sum of
+    its two creation parents' (the blowup rule, read off the history)."""
+    rng = random.Random(2512)
+    fractional = 0
+    for g in random_graphs(seed=2511, count=300):
+        g = g.reweighted([Fraction(rng.randint(-3, 9), rng.randint(1, 6)) for _ in range(4)])
+        scale, ints = g.scaled_weights()
+        fractional += scale > 1
+        for i, c in enumerate(g.corners):
+            assert g.scaled_weight(c) == ints[i]
+            assert g.weight(c) == g.initial_weights[i]
+        for v in g.vertices:
+            assert g.weight(v) == Fraction(g.scaled_weight(v), scale)
+        for ins in g.history:
+            parents = g.scaled_weight(ins.left_id) + g.scaled_weight(ins.right_id)
+            assert g.scaled_weight(ins.new_id) == parents
+    assert fractional > 250
 
 
 # -- graph files -------------------------------------------------------------
